@@ -15,7 +15,6 @@ from .evaluation import (
     default_synth_spec,
     evaluate_model_bank,
     frame_accuracy,
-    kfold_split,
     run_experiment,
     run_synthetic_benchmark,
     stitch_sequences,
@@ -59,13 +58,10 @@ from .motion import (
     flow_time_derivative,
     flow_vorticity,
     horn_schunck,
-    load_flow,
-    save_flow,
 )
 from .segmenter import (
     ModelBank,
     Segmentation,
-    WindowScore,
     frame_fusion,
     frame_labels,
     merge_short_segments,

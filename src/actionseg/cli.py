@@ -60,16 +60,21 @@ def _video_digest(path: Path) -> str:
 def _cached_features(video: Path, cfg: PipelineConfig):
     """Load (or extract and cache) features plus the decoded sequence."""
     seq = load_sequence(video)
-    key_src = (
-        f"{_video_digest(video)}|tau={cfg.tau!r}|stride={cfg.frame_stride}"
-        f"|alpha={cfg.hs_alpha!r}|iters={cfg.hs_iters}"
-    )
+    extraction = cfg.extraction_config()
+    key_src = f"{_video_digest(video)}|{extraction!r}"
     key = hashlib.sha256(key_src.encode()).hexdigest()
     cache_file = _cache_dir() / f"{key}.feat"
     if cache_file.exists():
         return load_features(cache_file), seq
-    feats = extract_video_features(seq, cfg.extraction_config())
-    save_features(feats, cache_file)
+    feats = extract_video_features(seq, extraction)
+    # write beside the target and rename, so a crash never leaves a
+    # truncated .feat that later runs would load
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        save_features(feats, tmp)
+        os.replace(tmp, cache_file)
+    finally:
+        tmp.unlink(missing_ok=True)
     return feats, seq
 
 
@@ -279,6 +284,7 @@ def cmd_synth(args) -> int:
             frame_size=tuple(raw.get("frame_size", (64, 64))),
             instance_length_range=tuple(raw.get("instance_length_range", (40, 60))),
             noise_sigma=float(raw.get("noise_sigma", 2.0)),
+            camera_jitter=float(raw.get("camera_jitter", 0.0)),
         )
     except ValueError as exc:
         raise DataError(f"{spec_path}: {exc}") from None

@@ -15,6 +15,10 @@ from .errors import ConfigError
 from .features import ExtractionConfig
 from .gmm import FitConfig
 
+# Python types accepted for each annotated PipelineConfig field type; bool
+# is a subclass of int, so it is excluded from the numeric fields separately.
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
 
 @dataclass
 class PipelineConfig:
@@ -36,16 +40,15 @@ class PipelineConfig:
     per_scenario: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(
+                value, _ACCEPTED_TYPES[f.type]
+            ):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         try:
-            ExtractionConfig(self.tau, self.frame_stride, self.hs_alpha, self.hs_iters)
-            FitConfig(
-                self.n_components,
-                max_iters=self.em_max_iters,
-                rel_tol=self.em_rel_tol,
-                var_floor=self.var_floor,
-                seed=self.seed,
-                kmeans_iters=self.kmeans_iters,
-            )
+            self.extraction_config()
+            self.fit_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.window_frames < 1:
@@ -120,7 +123,4 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     unknown = sorted(set(values) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    try:
-        return PipelineConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineConfig(**values)

@@ -365,25 +365,7 @@ def synth_generate(
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
-
-def kfold_split(video_ids: list, k: int, seed: int) -> list[tuple[list, list]]:
-    """Shuffle and partition ids into k folds; each id tests exactly once."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    ids = list(video_ids)
-    if k > len(ids):
-        raise ValueError(f"k={k} exceeds the {len(ids)} available ids")
-    order = np.random.default_rng(seed).permutation(len(ids))
-    folds = np.array_split(order, k)
-    out = []
-    for test_idx in folds:
-        test_set = set(int(i) for i in test_idx)
-        train = [ids[i] for i in range(len(ids)) if i not in test_set]
-        test = [ids[int(i)] for i in test_idx]
-        out.append((train, test))
-    return out
-
+# training and evaluation
 
 def _video_features(x, cfg: PipelineConfig):
     """Accept a FrameSequence (extracted on the fly) or pre-extracted

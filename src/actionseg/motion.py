@@ -8,17 +8,10 @@ All functions are pure and deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import convolve
-
-try:  # optional: ~3x faster smoothing kernel in the flow solver
-    import cv2
-except ImportError:  # pragma: no cover - depends on environment
-    cv2 = None
 
 
 @dataclass
@@ -93,15 +86,8 @@ def _hs_derivatives(img0: np.ndarray, img1: np.ndarray):
     return ex, ey, et
 
 
-if cv2 is not None:
-
-    def _neighbour_avg(field: np.ndarray) -> np.ndarray:
-        return cv2.filter2D(field, -1, _AVG_KERNEL, borderType=cv2.BORDER_REPLICATE)
-
-else:
-
-    def _neighbour_avg(field: np.ndarray) -> np.ndarray:
-        return convolve(field, _AVG_KERNEL, mode="nearest")
+def _neighbour_avg(field: np.ndarray) -> np.ndarray:
+    return convolve(field, _AVG_KERNEL, mode="nearest")
 
 
 def horn_schunck(prev, nxt, alpha: float = 15.0, iters: int = 200) -> FlowField:
@@ -164,30 +150,3 @@ def flow_vorticity(flow: FlowField) -> np.ndarray:
     _require_min_size(flow)
     return np.gradient(flow.v, axis=1) - np.gradient(flow.u, axis=0)
 
-
-# ---------------------------------------------------------------------------
-# debug dump format: raw little-endian float64, u plane then v plane,
-# with a JSON sidecar describing the geometry.
-
-def save_flow(flow: FlowField, path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(flow.u.astype("<f8").tobytes())
-        fh.write(flow.v.astype("<f8").tobytes())
-    sidecar = {
-        "width": flow.width,
-        "height": flow.height,
-        "order": "u-then-v",
-        "dtype": "<f8",
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_flow(path) -> FlowField:
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    w, h = int(sidecar["width"]), int(sidecar["height"])
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != 2 * w * h:
-        raise ValueError(f"{path}: expected {2 * w * h} floats, found {raw.size}")
-    return FlowField(raw[: w * h].reshape(h, w), raw[w * h :].reshape(h, w))

@@ -18,21 +18,6 @@ from .gmm import GmmModel, log_pdf_batch
 
 
 @dataclass
-class WindowScore:
-    """Per-action average log-likelihood vector for one window."""
-
-    window_start: int
-    scores: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.ndim != 1:
-            raise ValueError("scores must be a 1-D vector")
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("window scores must be finite")
-
-
-@dataclass
 class Segmentation:
     """Per-frame labels plus their run-length encoding as inclusive segments."""
 
@@ -102,13 +87,14 @@ def _run_segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
 
 def window_scores(
     features: list[FrameFeatures], bank: ModelBank, window_len: int
-) -> list[WindowScore]:
+) -> dict[int, np.ndarray]:
     """Score every length-``window_len`` window of retained frames.
 
     Window s pools the vectors of frames s..s+window_len-1; the score for an
     action is the maximum, over that action's models, of the pooled average
-    log density (the flat mean over all pooled vectors). Windows containing
-    no vectors at all produce no score.
+    log density (the flat mean over all pooled vectors). Returns
+    ``{window_start: per-action score vector}`` in ascending start order;
+    windows containing no vectors at all produce no score.
     """
     t = len(features)
     if window_len < 1:
@@ -133,46 +119,41 @@ def window_scores(
     model_action = np.array(
         [bank.action_names.index(m.action) for m in bank.models], dtype=np.int64
     )
-    out = []
+    out = {}
     for s in range(t - window_len + 1):
         if win_counts[s] == 0:
             continue
         avg = win_sums[s] / win_counts[s]
         scores = np.full(bank.n_actions, -np.inf)
         np.maximum.at(scores, model_action, avg)
-        out.append(WindowScore(s, scores))
+        out[s] = scores
     return out
 
 
-def frame_fusion(scores: list[WindowScore], n_frames: int, window_len: int) -> np.ndarray:
+def frame_fusion(
+    scores: dict[int, np.ndarray], n_frames: int, window_len: int
+) -> np.ndarray:
     """Sum window score vectors onto every frame each window covers.
 
-    Returns an (n_frames, A) array; frames covered by no scoring window get
-    NaN rows. No normalization is applied, so frames near the sequence ends
-    are covered by fewer windows.
+    ``scores`` maps window starts to per-action score vectors, as returned
+    by ``window_scores``; they are summed in ascending start order. Returns
+    an (n_frames, A) array; frames covered by no scoring window get NaN
+    rows. No normalization is applied, so frames near the sequence ends are
+    covered by fewer windows.
     """
     if window_len < 1 or n_frames < window_len:
         raise ValueError("inconsistent n_frames/window_len")
-    if len(scores) > n_frames - window_len + 1:
-        raise ValueError("more window scores than possible windows")
-    prev = -1
-    for ws in scores:
-        if not 0 <= ws.window_start <= n_frames - window_len:
-            raise ValueError(f"window start {ws.window_start} out of range")
-        if ws.window_start <= prev:
-            raise ValueError("window starts must be strictly increasing")
-        prev = ws.window_start
-    if scores:
-        a = scores[0].scores.shape[0]
-        if any(ws.scores.shape[0] != a for ws in scores):
-            raise ValueError("window score vectors must share length")
-    else:
-        a = 1
+    starts = sorted(scores)
+    for s in starts:
+        if not 0 <= s <= n_frames - window_len:
+            raise ValueError(f"window start {s} out of range")
+    a = len(scores[starts[0]]) if starts else 1
+    if any(np.shape(scores[s]) != (a,) for s in starts):
+        raise ValueError("window score vectors must share length")
     fused = np.zeros((n_frames, a))
     covered = np.zeros(n_frames, dtype=bool)
-    for ws in scores:
-        s = ws.window_start
-        fused[s : s + window_len] += ws.scores
+    for s in starts:
+        fused[s : s + window_len] += scores[s]
         covered[s : s + window_len] = True
     fused[~covered] = np.nan
     return fused

@@ -98,6 +98,15 @@ class TestSynthCommand:
                      "--out", str(out3)]) == 0
         assert tree_digest(out) != tree_digest(out3)
 
+    def test_camera_jitter_applied(self, synth_dataset):
+        root, out, _ = synth_dataset
+        jitter_spec = root / "jitter.json"
+        jitter_spec.write_text(json.dumps({**SYNTH_SPEC, "camera_jitter": 0.5}))
+        out4 = root / "data4"
+        assert main(["synth", "--spec", str(jitter_spec), "--seed", "5",
+                     "--out", str(out4)]) == 0
+        assert tree_digest(out) != tree_digest(out4)
+
     def test_missing_spec_is_data_error(self, cache_env, capsys):
         code = main(["synth", "--spec", str(cache_env / "nope.json"), "--out",
                      str(cache_env / "x")])
@@ -143,6 +152,24 @@ class TestTrainCommand:
                      "--out", str(root / "m_again")]) == 0
         assert {p: p.stat().st_mtime_ns for p in feats} == stamps
 
+    def test_failed_cache_write_leaves_no_feature_file(self, synth_dataset, cache_env,
+                                                       monkeypatch):
+        root, out, cfg = synth_dataset
+        args = ["train", "--config", str(cfg), "--manifest", str(out / "manifest.json"),
+                "--out", str(root / "m")]
+
+        def crash_mid_write(features, path):
+            Path(path).write_bytes(b"AS")
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as m:
+            m.setattr("actionseg.cli.save_features", crash_mid_write)
+            assert main(args) == 3
+        cache = cache_env / "cache"
+        assert list(cache.iterdir()) == []
+        assert main(args) == 0
+        assert list(cache.glob("*.feat"))
+
     def test_per_scenario_trains_model_per_pair(self, synth_dataset):
         root, out, cfg = synth_dataset
         manifest = json.loads((out / "manifest.json").read_text())
@@ -169,6 +196,16 @@ class TestTrainCommand:
                      "--out", str(root / "m")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_wrong_typed_config_value_is_usage_error(self, synth_dataset, capsys):
+        root, out, _ = synth_dataset
+        bad = root / "bad.toml"
+        bad.write_text(CONFIG_TEXT.replace("n_components = 2", "n_components = 2.0"))
+        code = main(["train", "--config", str(bad),
+                     "--manifest", str(out / "manifest.json"),
+                     "--out", str(root / "m")])
+        assert code == 1
+        assert "n_components" in capsys.readouterr().err
 
 
 class TestSegmentCommand:
@@ -356,6 +393,12 @@ class TestConfig:
             PipelineConfig(frame_stride=0)
         with pytest.raises(ConfigError):
             PipelineConfig(window_frames=0)
+        with pytest.raises(ConfigError, match="frame_stride"):
+            PipelineConfig(frame_stride=2.5)
+        with pytest.raises(ConfigError, match="n_components"):
+            PipelineConfig(n_components=4.0)
+        with pytest.raises(ConfigError, match="tau"):
+            PipelineConfig(tau=True)
 
     def test_retained_window_rounds_up(self):
         assert PipelineConfig(window_frames=25, frame_stride=2).retained_window() == 13

@@ -8,7 +8,6 @@ from actionseg.evaluation import (
     SynthSpec,
     default_synth_spec,
     frame_accuracy,
-    kfold_split,
     run_experiment,
     stitch_sequences,
     summarize_folds,
@@ -271,42 +270,6 @@ class TestSynthGenerate:
         np.testing.assert_allclose(
             drifted.frames[3].pixels, np.roll(drifted.frames[0].pixels, 3, axis=1), atol=1.0
         )
-
-
-class TestKfold:
-    def test_six_ids_three_folds(self):
-        folds = kfold_split(list("abcdef"), 3, seed=0)
-        assert len(folds) == 3
-        all_test = [x for _, test in folds for x in test]
-        assert sorted(all_test) == list("abcdef")
-        for train, test in folds:
-            assert len(test) == 2 and len(train) == 4
-            assert not set(train) & set(test)
-
-    def test_leave_one_out(self):
-        folds = kfold_split([1, 2, 3], 3, seed=1)
-        assert all(len(test) == 1 for _, test in folds)
-
-    def test_hundred_ids_fold_sizes(self):
-        ids = list(range(100))
-        folds = kfold_split(ids, 3, seed=2)
-        sizes = sorted(len(test) for _, test in folds)
-        assert sizes == [33, 33, 34]
-        # independent set-cover oracle
-        seen = set()
-        for train, test in folds:
-            assert seen.isdisjoint(test)
-            seen.update(test)
-            assert set(train) == set(ids) - set(test)
-        assert seen == set(ids)
-
-    def test_k_exceeds_ids(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            kfold_split([1, 2], 3, seed=0)
-
-    def test_k_must_be_at_least_two(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            kfold_split([1, 2], 1, seed=0)
 
 
 class TestRunExperiment:

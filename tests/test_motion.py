@@ -7,8 +7,6 @@ from actionseg.motion import (
     flow_time_derivative,
     flow_vorticity,
     horn_schunck,
-    load_flow,
-    save_flow,
 )
 
 from oracles import naive_divergence, naive_vorticity
@@ -159,20 +157,3 @@ class TestFlowDerivatives:
         with pytest.raises(ValueError, match="too small"):
             flow_divergence(f)
 
-
-class TestFlowDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        f = FlowField(rng.normal(size=(5, 8)), rng.normal(size=(5, 8)))
-        save_flow(f, tmp_path / "f.flow")
-        back = load_flow(tmp_path / "f.flow")
-        np.testing.assert_array_equal(back.u, f.u)
-        np.testing.assert_array_equal(back.v, f.v)
-
-    def test_sidecar_contents(self, tmp_path):
-        import json
-
-        f = FlowField(np.zeros((3, 4)), np.zeros((3, 4)))
-        save_flow(f, tmp_path / "f.flow")
-        meta = json.loads((tmp_path / "f.flow.json").read_text())
-        assert meta == {"width": 4, "height": 3, "order": "u-then-v", "dtype": "<f8"}

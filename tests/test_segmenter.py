@@ -8,7 +8,6 @@ from actionseg.gmm import GmmModel, avg_log_likelihood
 from actionseg.segmenter import (
     ModelBank,
     Segmentation,
-    WindowScore,
     frame_fusion,
     frame_labels,
     merge_short_segments,
@@ -75,7 +74,7 @@ class TestWindowScores:
         bank = ModelBank([toy_model(rng, "a")])
         feats = toy_features(rng, 5)
         scores = window_scores(feats, bank, 2)
-        assert [ws.window_start for ws in scores] == [0, 1, 2, 3]
+        assert list(scores) == [0, 1, 2, 3]
 
     def test_single_action_equals_pooled_average(self):
         rng = np.random.default_rng(5)
@@ -83,12 +82,10 @@ class TestWindowScores:
         bank = ModelBank([model])
         feats = toy_features(rng, 4)
         scores = window_scores(feats, bank, 3)
-        for ws in scores:
-            pooled = np.vstack(
-                [feats[i].vectors for i in range(ws.window_start, ws.window_start + 3)]
-            )
-            assert ws.scores.shape == (1,)
-            assert ws.scores[0] == pytest.approx(
+        for start, vec in scores.items():
+            pooled = np.vstack([feats[i].vectors for i in range(start, start + 3)])
+            assert vec.shape == (1,)
+            assert vec[0] == pytest.approx(
                 avg_log_likelihood(model, pooled), abs=1e-12
             )
 
@@ -103,19 +100,20 @@ class TestWindowScores:
             [[(m.weights, m.means, m.variances)] for m in models],
             3,
         )
-        assert [ws.window_start for ws in scores] == sorted(oracle)
-        for ws in scores:
-            np.testing.assert_allclose(ws.scores, oracle[ws.window_start], atol=1e-12)
+        assert list(scores) == sorted(oracle)
+        for start, vec in scores.items():
+            np.testing.assert_allclose(vec, oracle[start], atol=1e-12)
 
     def test_scenario_models_take_max(self):
         rng = np.random.default_rng(7)
         m1, m2 = toy_model(rng, "a"), toy_model(rng, "a")
         bank = ModelBank([m1, m2])
         feats = toy_features(rng, 2)
-        (ws,) = window_scores(feats, bank, 2)
+        scores = window_scores(feats, bank, 2)
+        assert list(scores) == [0]
         pooled = np.vstack([f.vectors for f in feats])
         expected = max(avg_log_likelihood(m1, pooled), avg_log_likelihood(m2, pooled))
-        assert ws.scores[0] == pytest.approx(expected, abs=1e-12)
+        assert scores[0][0] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_windows_dropped(self):
         rng = np.random.default_rng(8)
@@ -126,7 +124,7 @@ class TestWindowScores:
             FrameFeatures(2, rng.normal(size=(2, FEATURE_DIM))),
         ]
         scores = window_scores(feats, bank, 2)
-        assert [ws.window_start for ws in scores] == [1]
+        assert list(scores) == [1]
 
     def test_too_few_frames(self):
         rng = np.random.default_rng(9)
@@ -145,14 +143,14 @@ class TestWindowScores:
 class TestFrameFusion:
     def test_window_len_one_is_identity(self):
         rng = np.random.default_rng(11)
-        scores = [WindowScore(i, rng.normal(size=3)) for i in range(5)]
+        scores = {i: rng.normal(size=3) for i in range(5)}
         fused = frame_fusion(scores, 5, 1)
-        for i, ws in enumerate(scores):
-            np.testing.assert_array_equal(fused[i], ws.scores)
+        for i, vec in scores.items():
+            np.testing.assert_array_equal(fused[i], vec)
 
     def test_coverage_counts_constant_scores(self):
         c = np.array([-1.0, -2.0])
-        scores = [WindowScore(i, c) for i in range(4)]
+        scores = {i: c for i in range(4)}
         fused = frame_fusion(scores, 5, 2)
         np.testing.assert_array_equal(fused[0], c)
         np.testing.assert_array_equal(fused[4], c)
@@ -161,16 +159,16 @@ class TestFrameFusion:
 
     def test_matches_double_loop_oracle_exactly(self):
         rng = np.random.default_rng(12)
-        scores = [WindowScore(i, rng.normal(size=3)) for i in range(9)]
+        scores = {i: rng.normal(size=3) for i in range(9)}
         fused = frame_fusion(scores, 12, 4)
         oracle, covered = brute_force_fusion(
-            {ws.window_start: ws.scores.tolist() for ws in scores}, 12, 4, 3
+            {s: vec.tolist() for s, vec in scores.items()}, 12, 4, 3
         )
         assert all(covered)
         np.testing.assert_array_equal(fused, np.array(oracle))
 
     def test_uncovered_frames_are_nan(self):
-        scores = [WindowScore(2, np.array([1.0]))]
+        scores = {2: np.array([1.0])}
         fused = frame_fusion(scores, 6, 2)
         assert np.isnan(fused[0, 0]) and np.isnan(fused[1, 0])
         assert not np.isnan(fused[2, 0]) and not np.isnan(fused[3, 0])
@@ -179,21 +177,19 @@ class TestFrameFusion:
     def test_coverage_sum_invariant(self):
         rng = np.random.default_rng(13)
         t, w = 11, 4
-        scores = [WindowScore(i, rng.normal(size=2)) for i in range(t - w + 1)]
+        scores = {i: rng.normal(size=2) for i in range(t - w + 1)}
         fused = frame_fusion(scores, t, w)
-        ones = [WindowScore(ws.window_start, np.ones(2)) for ws in scores]
+        ones = {s: np.ones(2) for s in scores}
         counts = frame_fusion(ones, t, w)[:, 0]
         assert counts.sum() == len(scores) * w
 
     def test_inconsistent_starts_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            frame_fusion([WindowScore(9, np.ones(2))], 6, 3)
-        with pytest.raises(ValueError, match="increasing"):
-            frame_fusion(
-                [WindowScore(1, np.ones(2)), WindowScore(1, np.ones(2))], 6, 3
-            )
-        with pytest.raises(ValueError, match="more window scores"):
-            frame_fusion([WindowScore(i, np.ones(1)) for i in range(5)], 5, 2)
+            frame_fusion({9: np.ones(2)}, 6, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            frame_fusion({-1: np.ones(2)}, 6, 3)
+        with pytest.raises(ValueError, match="share length"):
+            frame_fusion({0: np.ones(2), 1: np.ones(3)}, 6, 3)
 
 
 class TestFrameLabels:
