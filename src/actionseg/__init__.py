@@ -18,6 +18,7 @@ from .evaluation import (
     run_experiment,
     run_synthetic_benchmark,
     stitch_sequences,
+    synth_folds,
     synth_generate,
     train_model_bank,
 )
@@ -44,7 +45,6 @@ from .frame_io import (
 from .gmm import (
     FitConfig,
     GmmModel,
-    avg_log_likelihood,
     em_fit,
     kmeans_init,
     load_model,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,8 @@ from .evaluation import (
     EvalReport,
     SynthSpec,
     evaluate_model_bank,
-    stitch_sequences,
     summarize_folds,
-    synth_generate,
+    synth_folds,
     train_model_bank,
 )
 from .features import extract_video_features, load_features, save_features
@@ -131,18 +131,7 @@ def _test_entries(entries: list, base: Path, cfg: PipelineConfig, action_names=N
 # subcommands
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "tau",
-            "frame_stride",
-            "window_frames",
-            "n_components",
-            "seed",
-            "per_scenario",
-        )
-        if getattr(args, key, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     return load_config(args.config, overrides)
 
 
@@ -277,6 +266,8 @@ def cmd_synth(args) -> int:
         raw = json.loads(spec_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{spec_path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{spec_path}: spec must be a JSON object")
 
     try:
         spec = SynthSpec(
@@ -286,56 +277,46 @@ def cmd_synth(args) -> int:
             noise_sigma=float(raw.get("noise_sigma", 2.0)),
             camera_jitter=float(raw.get("camera_jitter", 0.0)),
         )
-    except ValueError as exc:
+        n_train_per_action = int(raw.get("n_train_per_action", 2))
+        n_test_sequences = int(raw.get("n_test_sequences", 0))
+        instances_per_test = int(raw.get("instances_per_test", 4))
+        n_folds = int(raw.get("folds", 1))
+    except (TypeError, ValueError) as exc:
         raise DataError(f"{spec_path}: {exc}") from None
-    n_train_per_action = int(raw.get("n_train_per_action", 2))
-    n_test_sequences = int(raw.get("n_test_sequences", 0))
-    instances_per_test = int(raw.get("instances_per_test", 4))
-    n_folds = int(raw.get("folds", 1))
 
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    fold_seeds = rng.integers(0, 2**31 - 1, size=(n_folds, 3))
-    group_of = {r.name: r.group for r in spec.actions}
-
     manifest: dict = {"actions": spec.action_names, "folds": []}
-    for f in range(n_folds):
-        train_seed, pool_seed, stitch_seed = (int(s) for s in fold_seeds[f])
-        fold_dir = out_root / f"fold_{f}"
-        fold_entry: dict = {"train": [], "test": []}
-
-        counters: dict[str, int] = {}
-        for seq, action in synth_generate(spec, n_train_per_action, train_seed):
-            k = counters.get(action, 0)
-            counters[action] = k + 1
-            rel = f"fold_{f}/train/{action}_{k}"
-            save_sequence(seq, out_root / rel)
-            labels = LabelTrack(np.full(len(seq), 1 + spec.action_names.index(action)),
-                                spec.action_names)
-            save_labels(labels, out_root / f"{rel}.labels.csv")
-            fold_entry["train"].append(
-                {"video": rel, "action": action, "labels": f"{rel}.labels.csv"}
-            )
-
-        if n_test_sequences > 0:
-            pool = [
-                (seq, action, group_of[action])
-                for seq, action in synth_generate(spec, instances_per_test, pool_seed)
-            ]
-            for j in range(n_test_sequences):
-                seq, truth = stitch_sequences(
-                    pool, stitch_seed + j, instances_per_test, spec.action_names
+    try:
+        folds = synth_folds(
+            spec, n_train_per_action, n_test_sequences, instances_per_test, n_folds, args.seed
+        )
+        for f, (train, tests) in enumerate(folds):
+            fold_entry: dict = {"train": [], "test": []}
+            counters: dict[str, int] = {}
+            for seq, action in train:
+                k = counters.get(action, 0)
+                counters[action] = k + 1
+                rel = f"fold_{f}/train/{action}_{k}"
+                save_sequence(seq, out_root / rel)
+                labels = LabelTrack(np.full(len(seq), 1 + spec.action_names.index(action)),
+                                    spec.action_names)
+                save_labels(labels, out_root / f"{rel}.labels.csv")
+                fold_entry["train"].append(
+                    {"video": rel, "action": action, "labels": f"{rel}.labels.csv"}
                 )
+            for j, (seq, truth) in enumerate(tests):
                 rel = f"fold_{f}/test/seq_{j}"
                 save_sequence(seq, out_root / rel)
                 save_labels(truth, out_root / f"{rel}.labels.csv")
                 fold_entry["test"].append({"video": rel, "labels": f"{rel}.labels.csv"})
-        manifest["folds"].append(fold_entry)
+            manifest["folds"].append(fold_entry)
+    except ValueError as exc:
+        raise DataError(f"{spec_path}: {exc}") from None
 
     if n_folds == 1:
         manifest["train"] = manifest["folds"][0]["train"]
         manifest["test"] = manifest["folds"][0]["test"]
+    out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     n_seqs = sum(len(f["train"]) + len(f["test"]) for f in manifest["folds"])
     print(f"wrote {n_seqs} sequence(s) across {n_folds} fold(s) -> {out_root}")

@@ -1,5 +1,6 @@
-"""Evaluation harness: frame accuracy, stitched sequences, k-fold splits,
-and a deterministic synthetic multi-action generator for desk-scale runs.
+"""Evaluation harness: frame accuracy, stitched sequences, and a
+deterministic synthetic multi-action generator and fold protocol for
+desk-scale runs.
 
 Synthetic instances render a periodic random texture that moves according to
 a per-action recipe (steady translation, oscillation, or dilation), so the
@@ -129,10 +130,7 @@ def stitch_sequences(
             labels.append(ordinal)
         prev = pick
         group = 2 if group == 1 else 1
-    return (
-        FrameSequence(frames, fps=instances[0][0].fps),
-        LabelTrack(np.asarray(labels), action_names),
-    )
+    return FrameSequence(frames), LabelTrack(np.asarray(labels), action_names)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +362,40 @@ def synth_generate(
     return out
 
 
+def synth_folds(
+    spec: SynthSpec,
+    n_train_per_action: int,
+    n_test_sequences: int,
+    instances_per_test: int,
+    n_folds: int,
+    seed: int,
+):
+    """Yield ``(train, tests)`` per fold, all fold seeds drawn from ``seed``:
+    ``train`` is ``synth_generate``'s (sequence, action) list and ``tests``
+    holds ``n_test_sequences`` (sequence, truth) pairs, each stitched from
+    one pool of ``instances_per_test`` instances per action."""
+    if n_folds < 1:
+        raise ValueError("folds must be >= 1")
+    if n_test_sequences < 0:
+        raise ValueError("n_test_sequences must be >= 0")
+    rng = np.random.default_rng(seed)
+    fold_seeds = rng.integers(0, 2**31 - 1, size=(n_folds, 3))
+    group_of = {r.name: r.group for r in spec.actions}
+    for train_seed, pool_seed, stitch_seed in fold_seeds.tolist():
+        train = synth_generate(spec, n_train_per_action, train_seed)
+        tests = []
+        if n_test_sequences > 0:
+            pool = [
+                (seq, action, group_of[action])
+                for seq, action in synth_generate(spec, instances_per_test, pool_seed)
+            ]
+            tests = [
+                stitch_sequences(pool, stitch_seed + j, instances_per_test, spec.action_names)
+                for j in range(n_test_sequences)
+            ]
+        yield train, tests
+
+
 # ---------------------------------------------------------------------------
 # training and evaluation
 
@@ -507,37 +539,20 @@ def run_synthetic_benchmark(
     n_folds: int = 3,
     seed: int = 0,
 ) -> tuple[list[EvalReport], float, float | None]:
-    """Desk-scale protocol: per fold, render fresh training instances
-    (actions round-robin up to ``n_train``), a stitching pool, and
-    ``n_test_sequences`` stitched multi-action videos; train, segment, score.
+    """Desk-scale protocol: per ``synth_folds`` fold, train on the first
+    ``n_train`` rendered instances taken round-robin over the actions, then
+    segment and score the stitched test videos.
     """
-    rng = np.random.default_rng(seed)
-    fold_seeds = rng.integers(0, 2**31 - 1, size=(n_folds, 3))
-    action_names = spec.action_names
+    n_actions = len(spec.actions)
+    per_action = -(-n_train // n_actions)  # ceil
     reports = []
-    for f in range(n_folds):
-        train_seed, pool_seed, stitch_seed = (int(s) for s in fold_seeds[f])
-        per_action = -(-n_train // len(spec.actions))  # ceil
-        rendered = synth_generate(spec, per_action, train_seed)
-        by_action = {name: [] for name in action_names}
-        for seq, action in rendered:
-            by_action[action].append(seq)
-        train = []
-        for k in range(per_action):
-            for name in action_names:
-                if len(train) < n_train and k < len(by_action[name]):
-                    train.append((by_action[name][k], name))
-
-        group_of = {r.name: r.group for r in spec.actions}
-        pool = [
-            (seq, action, group_of[action])
-            for seq, action in synth_generate(spec, instances_per_test, pool_seed)
+    for rendered, tests in synth_folds(
+        spec, per_action, n_test_sequences, instances_per_test, n_folds, seed
+    ):
+        # rendered is action-major: instance k of action a is at a * per_action + k
+        train = [
+            rendered[a * per_action + k] for k in range(per_action) for a in range(n_actions)
         ]
-        tests = []
-        for j in range(n_test_sequences):
-            tests.append(
-                stitch_sequences(pool, stitch_seed + j, instances_per_test, action_names)
-            )
-        reports.append(run_experiment(train, tests, cfg, action_names))
+        reports.append(run_experiment(train[:n_train], tests, cfg, spec.action_names))
     mean, std = summarize_folds(reports)
     return reports, mean, std

@@ -51,13 +51,10 @@ class FrameSequence:
     """An ordered run of equally sized frames with consecutive indices from 0."""
 
     frames: list[Frame]
-    fps: float = 25.0
 
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError("frame sequence must contain at least one frame")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
         w, h = self.frames[0].width, self.frames[0].height
         for i, f in enumerate(self.frames):
             if (f.width, f.height) != (w, h):
@@ -180,19 +177,18 @@ def _read_y4m(path: Path) -> FrameSequence:
     if nl < 0 or not data.startswith(b"YUV4MPEG2"):
         raise DataError(f"{path}: not a YUV4MPEG2 stream")
     width = height = 0
-    fps = 25.0
     chroma = "420jpeg"
+    # windows are counted in frames, so the frame rate (F) is not read
     for token in data[:nl].split(b" ")[1:]:
         if not token:
             continue
         key, val = token[:1], token[1:].decode("ascii", "replace")
+        if key in (b"W", b"H") and not val.isdigit():
+            raise DataError(f"{path}: malformed Y4M header token {token!r}")
         if key == b"W":
             width = int(val)
         elif key == b"H":
             height = int(val)
-        elif key == b"F":
-            num, den = val.split(":")
-            fps = int(num) / int(den)
         elif key == b"C":
             chroma = val
     if width < 1 or height < 1:
@@ -218,36 +214,28 @@ def _read_y4m(path: Path) -> FrameSequence:
         pos = start + luma_size + skip
     if not frames:
         raise DataError(f"{path}: no frames found")
-    return FrameSequence(frames, fps=fps)
+    return FrameSequence(frames)
 
 
 # ---------------------------------------------------------------------------
 # sequence and label loading
 
-def load_sequence(path, fmt: str | None = None, fps: float = 25.0) -> FrameSequence:
-    """Load a frame sequence from a PGM directory or a Y4M file.
-
-    ``fmt`` is ``"pgm-dir"`` or ``"y4m"``; when omitted it is inferred from
-    the path (directory vs ``.y4m`` suffix). PGM frames are ordered by
-    lexicographic filename.
-    """
+def load_sequence(path) -> FrameSequence:
+    """Load a frame sequence: a directory is read as PGM frames in
+    lexicographic filename order, any other path as a Y4M stream."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: no such file or directory")
-    if fmt is None:
-        fmt = "pgm-dir" if path.is_dir() else "y4m"
-    if fmt == "pgm-dir":
-        files = sorted(path.glob("*.pgm"))
-        if not files:
-            raise DataError(f"{path}: no frames found (expected *.pgm files)")
-        frames = [Frame(i, read_pgm(p)) for i, p in enumerate(files)]
-        try:
-            return FrameSequence(frames, fps=fps)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
-    if fmt == "y4m":
+    if not path.is_dir():
         return _read_y4m(path)
-    raise ValueError(f"unknown sequence format {fmt!r}")
+    files = sorted(path.glob("*.pgm"))
+    if not files:
+        raise DataError(f"{path}: no frames found (expected *.pgm files)")
+    frames = [Frame(i, read_pgm(p)) for i, p in enumerate(files)]
+    try:
+        return FrameSequence(frames)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_sequence(seq: FrameSequence, path) -> None:

@@ -227,14 +227,6 @@ def log_pdf(model: GmmModel, x: np.ndarray) -> float:
     return float(log_pdf_batch(model, x[None, :])[0])
 
 
-def avg_log_likelihood(model: GmmModel, vectors: np.ndarray) -> float:
-    """Mean mixture log density over a set of vectors (assumed independent)."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValueError("vectors must be a non-empty (n, dim) array")
-    return float(np.mean(log_pdf_batch(model, vectors)))
-
-
 # ---------------------------------------------------------------------------
 # EM
 

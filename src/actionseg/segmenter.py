@@ -19,10 +19,10 @@ from .gmm import GmmModel, log_pdf_batch
 
 @dataclass
 class Segmentation:
-    """Per-frame labels plus their run-length encoding as inclusive segments."""
+    """Per-frame labels; ``segments`` is their run-length encoding as
+    inclusive ``(start, end, label)`` runs."""
 
     frame_labels: np.ndarray
-    segments: list[tuple[int, int, int]]
 
     def __post_init__(self) -> None:
         self.frame_labels = np.asarray(self.frame_labels, dtype=np.int64)
@@ -30,13 +30,10 @@ class Segmentation:
             raise ValueError("frame_labels must be non-empty")
         if self.frame_labels.min() < 1:
             raise ValueError("labels are 1-based action ordinals")
-        if self.segments != _run_segments(self.frame_labels):
-            raise ValueError("segments must be the run-length encoding of frame_labels")
 
-    @classmethod
-    def from_labels(cls, labels) -> "Segmentation":
-        labels = np.asarray(labels, dtype=np.int64)
-        return cls(labels, _run_segments(labels))
+    @property
+    def segments(self) -> list[tuple[int, int, int]]:
+        return _run_segments(self.frame_labels)
 
 
 class ModelBank:
@@ -64,19 +61,14 @@ class ModelBank:
                 raise ValueError("all models must share the feature dimension")
             if m.action not in known:
                 raise ValueError(f"model for undeclared action {m.action!r}")
-        self._by_action = [
-            [m for m in self.models if m.action == name] for name in self.action_names
-        ]
-        for name, group in zip(self.action_names, self._by_action):
-            if not group:
+        trained = {m.action for m in self.models}
+        for name in self.action_names:
+            if name not in trained:
                 raise ValueError(f"no model for action {name!r}")
 
     @property
     def n_actions(self) -> int:
         return len(self.action_names)
-
-    def models_for(self, ordinal: int) -> list[GmmModel]:
-        return self._by_action[ordinal - 1]
 
 
 def _run_segments(labels: np.ndarray) -> list[tuple[int, int, int]]:
@@ -160,14 +152,14 @@ def frame_fusion(
 
 
 def frame_labels(fused: np.ndarray) -> np.ndarray:
-    """Per-frame argmax labels (1-based); ties take the lowest ordinal and
-    NaN entries are treated as -inf. Rows that are entirely NaN fall back to
-    label 1."""
+    """Per-frame argmax labels (1-based); ties take the lowest ordinal.
+    Uncovered (NaN) rows have no label and are rejected."""
     fused = np.asarray(fused, dtype=np.float64)
     if fused.ndim != 2 or fused.size == 0:
         raise ValueError("fused scores must be a non-empty (n, A) array")
-    clean = np.where(np.isnan(fused), -np.inf, fused)
-    return np.argmax(clean, axis=1).astype(np.int64) + 1
+    if np.isnan(fused).any():
+        raise ValueError("fused scores must not contain NaN")
+    return np.argmax(fused, axis=1).astype(np.int64) + 1
 
 
 def merge_short_segments(labels, min_len: int) -> Segmentation:
@@ -216,7 +208,7 @@ def merge_short_segments(labels, min_len: int) -> Segmentation:
             break
 
     out = np.repeat([lab for lab, _ in runs], [ln for _, ln in runs]).astype(np.int64)
-    return Segmentation.from_labels(out)
+    return Segmentation(out)
 
 
 def _nearest_index(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -266,4 +258,4 @@ def segment_video(
         raise ValueError("n_frames smaller than the last retained frame index")
     all_frames = np.arange(n_frames)
     nearest = _nearest_index(retained_pos, all_frames)
-    return Segmentation.from_labels(merged.frame_labels[nearest])
+    return Segmentation(merged.frame_labels[nearest])

@@ -8,6 +8,7 @@ import pytest
 from actionseg.cli import main
 from actionseg.config import PipelineConfig, load_config
 from actionseg.errors import ConfigError
+from actionseg.evaluation import ActionRecipe, SynthSpec, synth_folds
 from actionseg.features import extract_video_features
 from actionseg.frame_io import load_labels, load_sequence
 from actionseg.gmm import load_model
@@ -112,6 +113,62 @@ class TestSynthCommand:
                      str(cache_env / "x")])
         assert code == 2
         assert "no such spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [SYNTH_SPEC],
+            {**SYNTH_SPEC, "noise_sigma": [1]},
+            {**SYNTH_SPEC, "frame_size": 16},
+            {**SYNTH_SPEC, "n_train_per_action": "x"},
+            {**SYNTH_SPEC, "n_train_per_action": 0},
+            {**SYNTH_SPEC, "instances_per_test": 0},
+            {**SYNTH_SPEC, "n_test_sequences": -1},
+            {**SYNTH_SPEC, "folds": 0},
+        ],
+        ids=["list", "noise_list", "frame_size_int", "train_str", "train_zero",
+             "instances_zero", "tests_negative", "folds_zero"],
+    )
+    def test_bad_spec_is_data_error(self, cache_env, capsys, spec):
+        spec_path = cache_env / "bad.json"
+        spec_path.write_text(json.dumps(spec))
+        out = cache_env / "bad"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tree_matches_synth_folds(self, cache_env):
+        raw = {**SYNTH_SPEC, "folds": 2}
+        spec_path = cache_env / "two_folds.json"
+        spec_path.write_text(json.dumps(raw))
+        out = cache_env / "two_folds"
+        assert main(["synth", "--spec", str(spec_path), "--seed", "3", "--out", str(out)]) == 0
+
+        spec = SynthSpec(
+            [ActionRecipe(**d) for d in raw["actions"]],
+            frame_size=tuple(raw["frame_size"]),
+            instance_length_range=tuple(raw["instance_length_range"]),
+            noise_sigma=raw["noise_sigma"],
+        )
+        names = spec.action_names
+        folds = list(synth_folds(spec, 2, 1, 3, 2, seed=3))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["folds"]) == len(folds) == 2
+
+        def pixels(seq):
+            return np.stack([f.pixels for f in seq.frames])
+
+        for entry, (train, tests) in zip(manifest["folds"], folds):
+            assert [e["action"] for e in entry["train"]] == [a for _, a in train]
+            for e, (seq, action) in zip(entry["train"], train):
+                np.testing.assert_array_equal(pixels(load_sequence(out / e["video"])), pixels(seq))
+                labels = load_labels(out / e["labels"], names).labels
+                assert labels.tolist() == [names.index(action) + 1] * len(seq)
+            assert len(entry["test"]) == len(tests) == 1
+            for e, (seq, truth) in zip(entry["test"], tests):
+                np.testing.assert_array_equal(pixels(load_sequence(out / e["video"])), pixels(seq))
+                labels = load_labels(out / e["labels"], names).labels
+                assert labels.tolist() == truth.labels.tolist()
 
 
 class TestTrainCommand:

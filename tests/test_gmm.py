@@ -7,7 +7,6 @@ from actionseg.errors import DataError
 from actionseg.gmm import (
     FitConfig,
     GmmModel,
-    avg_log_likelihood,
     em_fit,
     kmeans_init,
     load_model,
@@ -199,32 +198,16 @@ class TestLogPdf:
 
 
 class TestAvgLogLikelihood:
-    def test_single_vector_equals_log_pdf(self):
-        rng = np.random.default_rng(12)
-        model = random_model(rng, dim=3)
-        x = rng.normal(size=3)
-        assert avg_log_likelihood(model, x[None]) == log_pdf(model, x)
-
-    def test_duplication_invariance(self):
-        rng = np.random.default_rng(13)
-        model = random_model(rng, dim=3)
-        batch = rng.normal(size=(2, 3))
-        doubled = np.vstack([batch, batch])
-        assert avg_log_likelihood(model, doubled) == avg_log_likelihood(model, batch)
+    """Window scoring averages log_pdf_batch's rows over the pooled vectors."""
 
     def test_three_vectors_match_oracle_mean(self):
         rng = np.random.default_rng(14)
         model = random_model(rng, dim=4)
         batch = rng.normal(size=(3, 4))
-        oracle = np.mean(
-            [mp_log_pdf(model.weights, model.means, model.variances, x) for x in batch]
-        )
-        assert avg_log_likelihood(model, batch) == pytest.approx(oracle, abs=1e-12)
-
-    def test_empty_rejected(self):
-        model = GmmModel([1.0], [[0.0]], [[1.0]])
-        with pytest.raises(ValueError, match="non-empty"):
-            avg_log_likelihood(model, np.empty((0, 1)))
+        oracle = [mp_log_pdf(model.weights, model.means, model.variances, x) for x in batch]
+        got = log_pdf_batch(model, batch)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+        assert got.mean() == pytest.approx(np.mean(oracle), abs=1e-12)
 
 
 class TestModelInvariants:
