@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, check_type, load_config
 from .errors import ActionsegError, ConfigError, DataError
 from .evaluation import (
     ActionRecipe,
@@ -250,12 +250,15 @@ def cmd_eval(args) -> int:
 
 def _recipe_from_dict(d: dict) -> ActionRecipe:
     try:
-        kwargs = dict(d)
-        if "velocity" in kwargs:
-            kwargs["velocity"] = tuple(kwargs["velocity"])
-        return ActionRecipe(**kwargs)
+        return ActionRecipe(**d)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad action recipe {d!r}: {exc}") from None
+
+
+def _spec_count(raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    check_type(key, value, "int")
+    return value
 
 
 def cmd_synth(args) -> int:
@@ -269,18 +272,16 @@ def cmd_synth(args) -> int:
     if not isinstance(raw, dict):
         raise DataError(f"{spec_path}: spec must be a JSON object")
 
+    optional = {f.name for f in fields(SynthSpec)} - {"actions"}
     try:
         spec = SynthSpec(
             actions=[_recipe_from_dict(d) for d in raw.get("actions", [])],
-            frame_size=tuple(raw.get("frame_size", (64, 64))),
-            instance_length_range=tuple(raw.get("instance_length_range", (40, 60))),
-            noise_sigma=float(raw.get("noise_sigma", 2.0)),
-            camera_jitter=float(raw.get("camera_jitter", 0.0)),
+            **{k: v for k, v in raw.items() if k in optional},
         )
-        n_train_per_action = int(raw.get("n_train_per_action", 2))
-        n_test_sequences = int(raw.get("n_test_sequences", 0))
-        instances_per_test = int(raw.get("instances_per_test", 4))
-        n_folds = int(raw.get("folds", 1))
+        n_train_per_action = _spec_count(raw, "n_train_per_action", 2)
+        n_test_sequences = _spec_count(raw, "n_test_sequences", 0)
+        instances_per_test = _spec_count(raw, "instances_per_test", 4)
+        n_folds = _spec_count(raw, "folds", 1)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{spec_path}: {exc}") from None
 

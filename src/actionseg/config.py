@@ -15,9 +15,34 @@ from .errors import ConfigError
 from .features import ExtractionConfig
 from .gmm import FitConfig
 
-# Python types accepted for each annotated PipelineConfig field type; bool
-# is a subclass of int, so it is excluded from the numeric fields separately.
-_ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool}
+# Python types accepted for each annotated field type; bool is a subclass of
+# int, so it is excluded from the numeric fields separately.
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_type(name: str, value, kind: str) -> None:
+    """Raise TypeError unless ``value`` is of ``kind`` ("int", "float",
+    "bool" or "str"); ints pass as floats, bools pass only as bools."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(
+        value, _ACCEPTED_TYPES[kind]
+    ):
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_field_types(obj) -> None:
+    """``check_type`` every field of dataclass ``obj`` annotated with one of
+    those kinds or a fixed-length tuple of them (a list passes as a tuple).
+    Fields of other types are left alone."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type.startswith("tuple["):
+            kinds = [k.strip() for k in f.type[len("tuple["):-1].split(",")]
+            if not isinstance(value, (tuple, list)) or len(value) != len(kinds):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            for item, kind in zip(value, kinds):
+                check_type(f.name, item, kind)
+        elif f.type in _ACCEPTED_TYPES:
+            check_type(f.name, value, f.type)
 
 
 @dataclass
@@ -40,16 +65,11 @@ class PipelineConfig:
     per_scenario: bool = False
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) != (f.type == "bool") or not isinstance(
-                value, _ACCEPTED_TYPES[f.type]
-            ):
-                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         try:
+            check_field_types(self)
             self.extraction_config()
             self.fit_config()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if self.window_frames < 1:
             raise ConfigError("window_frames must be >= 1")

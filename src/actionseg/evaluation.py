@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, check_field_types
 from .errors import DataError
 from .features import extract_video_features
 from .frame_io import Frame, FrameSequence, LabelTrack
@@ -164,6 +164,7 @@ class ActionRecipe:
     param_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.pattern not in ("translate", "oscillate", "dilate"):
             raise ValueError(f"unknown motion pattern {self.pattern!r}")
         if self.group not in (1, 2):
@@ -224,6 +225,9 @@ class SynthSpec:
     camera_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
+        self.frame_size = tuple(self.frame_size)
+        self.instance_length_range = tuple(self.instance_length_range)
         if len(self.actions) < 2:
             raise ValueError("need at least 2 actions with distinct motion")
         names = [r.name for r in self.actions]

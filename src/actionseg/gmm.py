@@ -237,7 +237,10 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
     of the mean log-likelihood falls below ``cfg.rel_tol``. Variances are
     floored at ``cfg.var_floor`` after every M-step. Components whose
     responsibility mass collapses are re-seeded from the data region of the
-    highest-variance component.
+    highest-variance component. ``meta`` records the log-likelihood of each
+    E-step (``ll_history``, ``n_iters`` of them), whether the ``rel_tol``
+    test stopped the fit (``converged``) and the re-seed count
+    (``n_reseeds``).
 
     ``callback``, if given, is invoked each iteration as
     ``callback(iteration, weights, means, variances, mean_ll)`` with copies
@@ -257,6 +260,7 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
     )
     history: list[float] = []
     n_reseeds = 0
+    converged = False
     prev_ll = None
     for iteration in range(cfg.max_iters):
         with np.errstate(divide="ignore"):
@@ -268,6 +272,7 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
         if callback is not None:
             callback(iteration, weights.copy(), means.copy(), variances.copy(), mean_ll)
         if prev_ll is not None and mean_ll - prev_ll < cfg.rel_tol * abs(prev_ll):
+            converged = True
             break
         prev_ll = mean_ll
 
@@ -304,6 +309,8 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
         "fit_config": asdict(cfg),
         "data_count": n,
         "ll_history": history,
+        "n_iters": len(history),
+        "converged": converged,
         "n_reseeds": n_reseeds,
     }
     return GmmModel(weights, means, variances, meta=meta)
@@ -331,6 +338,9 @@ def _model_body(model: GmmModel) -> dict:
             "stride": meta.get("stride"),
             "fit_config": meta.get("fit_config"),
             "data_count": meta.get("data_count"),
+            "n_iters": meta.get("n_iters"),
+            "converged": meta.get("converged"),
+            "n_reseeds": meta.get("n_reseeds"),
         },
     }
 

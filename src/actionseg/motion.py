@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve
 
 
 @dataclass
@@ -46,16 +45,6 @@ def _image(frame) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-# Weighted 8-neighbour average used by the Horn-Schunck smoothness term.
-_AVG_KERNEL = np.array(
-    [
-        [1 / 12, 1 / 6, 1 / 12],
-        [1 / 6, 0.0, 1 / 6],
-        [1 / 12, 1 / 6, 1 / 12],
-    ]
-)
-
-
 def _hs_derivatives(img0: np.ndarray, img1: np.ndarray):
     """Spatio-temporal derivatives averaged over the 2x2x2 cube.
 
@@ -86,8 +75,31 @@ def _hs_derivatives(img0: np.ndarray, img1: np.ndarray):
     return ex, ey, et
 
 
-def _neighbour_avg(field: np.ndarray) -> np.ndarray:
-    return convolve(field, _AVG_KERNEL, mode="nearest")
+def _neighbour_avg(padded, corner, edge, out) -> None:
+    """Horn-Schunck's weighted 8-neighbour average of each plane of ``padded``.
+
+    ``padded`` holds the fields in its interior; its one-pixel border is
+    refreshed here with the nearest edge values. The taps (1/12 at the
+    corners, 1/6 at the sides, 0 at the centre) are added to 0.0 in raster
+    order, the order ``scipy.ndimage.convolve(mode="nearest")`` uses, so the
+    result is bit-identical to it.
+    """
+    padded[:, 0, 1:-1] = padded[:, 1, 1:-1]
+    padded[:, -1, 1:-1] = padded[:, -2, 1:-1]
+    padded[:, :, 0] = padded[:, :, 1]
+    padded[:, :, -1] = padded[:, :, -2]
+    np.multiply(padded, 1 / 12, out=corner)
+    np.multiply(padded, 1 / 6, out=edge)
+    h, w = out.shape[1:]
+    out.fill(0.0)
+    out += corner[:, :h, :w]
+    out += edge[:, :h, 1:-1]
+    out += corner[:, :h, 2:]
+    out += edge[:, 1:-1, :w]
+    out += edge[:, 1:-1, 2:]
+    out += corner[:, 2:, :w]
+    out += edge[:, 2:, 1:-1]
+    out += corner[:, 2:, 2:]
 
 
 def horn_schunck(prev, nxt, alpha: float = 15.0, iters: int = 200) -> FlowField:
@@ -106,25 +118,26 @@ def horn_schunck(prev, nxt, alpha: float = 15.0, iters: int = 200) -> FlowField:
 
     ex, ey, et = _hs_derivatives(img0, img1)
     inv_denom = 1.0 / (alpha * alpha + ex * ex + ey * ey)
-    ex_n = ex * inv_denom
-    ey_n = ey * inv_denom
+    exy = np.stack((ex, ey))
+    exy_n = exy * inv_denom
     et_n = et * inv_denom
-    u = np.zeros_like(img0)
-    v = np.zeros_like(img0)
+    h, w = img0.shape
+    # u and v share one edge-padded buffer; its interior is the current flow
+    padded = np.zeros((2, h + 2, w + 2))
+    flow = padded[:, 1:-1, 1:-1]
+    corner = np.empty_like(padded)
+    edge = np.empty_like(padded)
+    bar = np.empty((2, h, w))
+    prod = np.empty_like(bar)
     shared = np.empty_like(img0)
-    tmp = np.empty_like(img0)
     for _ in range(iters):
-        ubar = _neighbour_avg(u)
-        vbar = _neighbour_avg(v)
-        np.multiply(ex_n, ubar, out=shared)
-        np.multiply(ey_n, vbar, out=tmp)
-        shared += tmp
+        _neighbour_avg(padded, corner, edge, bar)
+        np.multiply(exy_n, bar, out=prod)
+        np.add(prod[0], prod[1], out=shared)
         shared += et_n
-        np.multiply(ex, shared, out=tmp)
-        np.subtract(ubar, tmp, out=u)
-        np.multiply(ey, shared, out=tmp)
-        np.subtract(vbar, tmp, out=v)
-    return FlowField(u, v)
+        np.multiply(exy, shared, out=prod)
+        np.subtract(bar, prod, out=flow)
+    return FlowField(flow[0].copy(), flow[1].copy())
 
 
 def flow_time_derivative(flow_prev: FlowField, flow_curr: FlowField):

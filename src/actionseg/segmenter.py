@@ -9,6 +9,7 @@ shorter than the window length are merged into their predecessor.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +236,7 @@ def segment_video(
     covers original frames 0..n_frames-1, frames dropped by temporal
     subsampling inheriting the label of the nearest retained frame (ties go
     to the earlier frame). If no window produced a score the whole video
-    falls back to action 1.
+    falls back to action 1, with a ``UserWarning``.
     """
     t = len(features)
     scores = window_scores(features, bank, window_len)
@@ -249,6 +250,12 @@ def segment_video(
             holes = np.flatnonzero(~covered)
             nearest = _nearest_index(covered_idx, holes)
             retained_labels[holes] = retained_labels[covered_idx[nearest]]
+    else:
+        warnings.warn(
+            "no window produced a score; the whole video is labelled action 1",
+            UserWarning,
+            stacklevel=2,
+        )
     merged = merge_short_segments(retained_labels, window_len)
 
     retained_pos = np.array([ff.frame_index for ff in features], dtype=np.int64)

@@ -10,6 +10,7 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.ndimage import convolve
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,73 @@ def naive_second_difference(img: np.ndarray, axis: int) -> np.ndarray:
                 ym, yp = max(y - 1, 0), min(y + 1, h - 1)
                 out[y, x] = img[yp, x] - 2 * img[y, x] + img[ym, x]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Horn-Schunck flow, smoothed with scipy.ndimage.convolve
+
+_AVG_KERNEL = np.array(
+    [
+        [1 / 12, 1 / 6, 1 / 12],
+        [1 / 6, 0.0, 1 / 6],
+        [1 / 12, 1 / 6, 1 / 12],
+    ]
+)
+
+
+def _reference_derivatives(img0: np.ndarray, img1: np.ndarray):
+    p0 = np.pad(img0, ((0, 1), (0, 1)), mode="edge")
+    p1 = np.pad(img1, ((0, 1), (0, 1)), mode="edge")
+    ex = 0.25 * (
+        (p0[:-1, 1:] - p0[:-1, :-1])
+        + (p0[1:, 1:] - p0[1:, :-1])
+        + (p1[:-1, 1:] - p1[:-1, :-1])
+        + (p1[1:, 1:] - p1[1:, :-1])
+    )
+    ey = 0.25 * (
+        (p0[1:, :-1] - p0[:-1, :-1])
+        + (p0[1:, 1:] - p0[:-1, 1:])
+        + (p1[1:, :-1] - p1[:-1, :-1])
+        + (p1[1:, 1:] - p1[:-1, 1:])
+    )
+    et = 0.25 * (
+        (p1[:-1, :-1] - p0[:-1, :-1])
+        + (p1[:-1, 1:] - p0[:-1, 1:])
+        + (p1[1:, :-1] - p0[1:, :-1])
+        + (p1[1:, 1:] - p0[1:, 1:])
+    )
+    return ex, ey, et
+
+
+def _neighbour_avg(field: np.ndarray) -> np.ndarray:
+    return convolve(field, _AVG_KERNEL, mode="nearest")
+
+
+def reference_horn_schunck(img0: np.ndarray, img1: np.ndarray, alpha: float, iters: int):
+    """Horn-Schunck ``(u, v)`` with one ``convolve`` call per field and iteration."""
+    img0 = np.asarray(img0, dtype=np.float64)
+    img1 = np.asarray(img1, dtype=np.float64)
+    ex, ey, et = _reference_derivatives(img0, img1)
+    inv_denom = 1.0 / (alpha * alpha + ex * ex + ey * ey)
+    ex_n = ex * inv_denom
+    ey_n = ey * inv_denom
+    et_n = et * inv_denom
+    u = np.zeros_like(img0)
+    v = np.zeros_like(img0)
+    shared = np.empty_like(img0)
+    tmp = np.empty_like(img0)
+    for _ in range(iters):
+        ubar = _neighbour_avg(u)
+        vbar = _neighbour_avg(v)
+        np.multiply(ex_n, ubar, out=shared)
+        np.multiply(ey_n, vbar, out=tmp)
+        shared += tmp
+        shared += et_n
+        np.multiply(ex, shared, out=tmp)
+        np.subtract(ubar, tmp, out=u)
+        np.multiply(ey, shared, out=tmp)
+        np.subtract(vbar, tmp, out=v)
+    return u, v
 
 
 # ---------------------------------------------------------------------------

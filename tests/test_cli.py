@@ -125,9 +125,22 @@ class TestSynthCommand:
             {**SYNTH_SPEC, "instances_per_test": 0},
             {**SYNTH_SPEC, "n_test_sequences": -1},
             {**SYNTH_SPEC, "folds": 0},
+            {**SYNTH_SPEC, "folds": 1.7},
+            {**SYNTH_SPEC, "n_test_sequences": True},
+            {**SYNTH_SPEC, "instance_length_range": [4.5, 5]},
+            {**SYNTH_SPEC, "noise_sigma": "3"},
+            {**SYNTH_SPEC, "camera_jitter": True},
+            {**SYNTH_SPEC, "actions": [
+                SYNTH_SPEC["actions"][0], {**SYNTH_SPEC["actions"][1], "velocity": "xy"}
+            ]},
+            {**SYNTH_SPEC, "actions": [
+                SYNTH_SPEC["actions"][0], {**SYNTH_SPEC["actions"][1], "texture_seed": 2.5}
+            ]},
         ],
         ids=["list", "noise_list", "frame_size_int", "train_str", "train_zero",
-             "instances_zero", "tests_negative", "folds_zero"],
+             "instances_zero", "tests_negative", "folds_zero", "folds_float",
+             "tests_bool", "length_float", "noise_str", "jitter_bool",
+             "velocity_str", "seed_float"],
     )
     def test_bad_spec_is_data_error(self, cache_env, capsys, spec):
         spec_path = cache_env / "bad.json"

@@ -152,6 +152,18 @@ class TestEmFit:
         assert len(model.meta["ll_history"]) >= 2
         assert model.meta["fit_config"]["n_components"] == 2
 
+    def test_single_iteration_not_converged(self):
+        rng = np.random.default_rng(9)
+        model = em_fit(rng.normal(size=(100, 2)), FitConfig(2, max_iters=1))
+        assert model.meta["n_iters"] == 1
+        assert model.meta["converged"] is False
+
+    def test_tolerance_stop_is_converged(self):
+        rng = np.random.default_rng(9)
+        model = em_fit(rng.normal(size=(100, 2)), FitConfig(2, max_iters=500, rel_tol=1e-3))
+        assert model.meta["converged"] is True
+        assert model.meta["n_iters"] == len(model.meta["ll_history"]) < 500
+
 
 class TestLogPdf:
     def test_unit_gaussian_at_mean(self):
@@ -240,6 +252,17 @@ class TestSerialization:
         assert back.meta["tau"] == 40.0 and back.meta["data_count"] == 99
         x = rng.normal(size=14)
         assert log_pdf(back, x) == log_pdf(model, x)
+
+    def test_fit_statistics_roundtrip(self, tmp_path):
+        rng = np.random.default_rng(9)
+        model = em_fit(rng.normal(size=(100, 2)), FitConfig(2, max_iters=4))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        train_meta = json.loads(path.read_text())["train_meta"]
+        back = load_model(path).meta
+        for key in ("n_iters", "converged", "n_reseeds"):
+            assert train_meta[key] == back[key] == model.meta[key]
+        assert back["n_iters"] == 4 and back["converged"] is False
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -9,7 +9,7 @@ from actionseg.motion import (
     horn_schunck,
 )
 
-from oracles import naive_divergence, naive_vorticity
+from oracles import naive_divergence, naive_vorticity, reference_horn_schunck
 
 INNER = (slice(3, -3), slice(3, -3))
 
@@ -82,6 +82,44 @@ class TestHornSchunck:
         inner = (slice(6, -6), slice(6, -6))
         epe = np.hypot(flow.u[inner] - 1.0, flow.v[inner] - 1.0).mean()
         assert epe < 0.1
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 3), (3, 40), (40, 3), (5, 7), (64, 64), (120, 160)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    @pytest.mark.parametrize("frames", ["random", "identical", "zero", "scaled_1e-300"])
+    def test_bit_identical_to_convolve_reference(self, shape, frames):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        img0 = rng.uniform(0, 255, shape)
+        img1 = rng.uniform(0, 255, shape)
+        if frames == "identical":
+            img1 = img0
+        elif frames == "zero":
+            img0, img1 = np.zeros(shape), np.zeros(shape)
+        elif frames == "scaled_1e-300":
+            img0, img1 = img0 * 1e-300, img1 * 1e-300
+        self._assert_matches_reference(img0, img1)
+
+    @pytest.mark.parametrize("scale", [2e-162, 4e-162])
+    def test_negative_zero_taps_bit_identical(self, scale):
+        # a flow a few subnormal steps below zero: at some pixels all eight
+        # weighted taps round to -0.0, and the sum's 0.0 start makes it +0.0
+        # (small shape: subnormal arithmetic is slow)
+        ramp = np.tile(np.arange(5.0), (4, 1))
+        bumps = np.array(
+            [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 1, 0, 0, 1], [1, 1, 0, 1, 0]]
+        )
+        self._assert_matches_reference(ramp * scale, (ramp + bumps) * scale)
+
+    @staticmethod
+    def _assert_matches_reference(img0, img1):
+        for alpha in (0.5, 1, 15, 100):
+            for iters in (1, 7, 50, 200):
+                flow = horn_schunck(img0, img1, alpha, iters)
+                u, v = reference_horn_schunck(img0, img1, alpha, iters)
+                assert flow.u.tobytes() == u.tobytes(), (alpha, iters)
+                assert flow.v.tobytes() == v.tobytes(), (alpha, iters)
 
 
 class TestFlowDerivatives:

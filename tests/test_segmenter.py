@@ -296,7 +296,8 @@ class TestSegmentVideo:
         a = GmmModel([1.0], [np.zeros(FEATURE_DIM)], [np.ones(FEATURE_DIM)], action="a")
         bank = ModelBank([a])
         feats = [FrameFeatures(i, np.empty((0, FEATURE_DIM))) for i in range(4)]
-        seg = segment_video(feats, bank, 2)
+        with pytest.warns(UserWarning, match="no window produced a score"):
+            seg = segment_video(feats, bank, 2)
         assert seg.frame_labels.tolist() == [1] * 4
 
     def test_subsampled_frames_inherit_nearest_retained(self):

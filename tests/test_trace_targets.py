@@ -3,6 +3,7 @@ fail when a name it looks up disappears or a counter loses its meaning."""
 
 import importlib
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def test_segment_video_counters_match_hand_counts():
     counts = [0, 0, 3, 0, 2, 4]
     feats = [FrameFeatures(i, rng.normal(size=(k, FEATURE_DIM))) for i, k in enumerate(counts)]
 
-    with tracing.traced(tracing.Tracer()) as tracer:
+    with tracing.traced(tracing.Tracer()) as tracer, warnings.catch_warnings():
+        warnings.simplefilter("error")
         segment_video(feats, bank, 2)
     metrics = tracing.layer_metrics(tracer)
 
