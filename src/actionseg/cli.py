@@ -33,7 +33,8 @@ from .evaluation import (
 from .features import extract_video_features, load_features, save_features
 from .frame_io import LabelTrack, load_labels, load_sequence, save_labels, save_sequence
 from .gmm import load_model, save_model
-from .segmenter import ModelBank, frame_fusion, segment_video, window_scores
+from .segmenter import ModelBank, segment_video
+from .segmenter import window_scores  # noqa: F401 - perfbench/tracing.py wraps this name
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,8 @@ def _cache_dir() -> Path:
 
 
 def _video_digest(path: Path) -> str:
+    if not path.exists():
+        raise DataError(f"{path}: no such file or directory")
     h = hashlib.sha256()
     if path.is_dir():
         for p in sorted(path.glob("*.pgm")):
@@ -57,25 +60,32 @@ def _video_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _cached_features(video: Path, cfg: PipelineConfig):
-    """Load (or extract and cache) features plus the decoded sequence."""
-    seq = load_sequence(video)
+def _cached_features(video: Path, cfg: PipelineConfig, need_frame_count: bool):
+    """Load (or extract and cache) features; returns (features, frame count).
+
+    The video is decoded only on a cache miss or when ``need_frame_count``
+    asks for its length; otherwise the frame count is None.
+    """
+    seq = load_sequence(video) if need_frame_count else None
     extraction = cfg.extraction_config()
     key_src = f"{_video_digest(video)}|{extraction!r}"
     key = hashlib.sha256(key_src.encode()).hexdigest()
     cache_file = _cache_dir() / f"{key}.feat"
     if cache_file.exists():
-        return load_features(cache_file), seq
-    feats = extract_video_features(seq, extraction)
-    # write beside the target and rename, so a crash never leaves a
-    # truncated .feat that later runs would load
-    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-    try:
-        save_features(feats, tmp)
-        os.replace(tmp, cache_file)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return feats, seq
+        feats = load_features(cache_file)
+    else:
+        if seq is None:
+            seq = load_sequence(video)
+        feats = extract_video_features(seq, extraction)
+        # write beside the target and rename, so a crash never leaves a
+        # truncated .feat that later runs would load
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        try:
+            save_features(feats, tmp)
+            os.replace(tmp, cache_file)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return feats, len(seq) if need_frame_count else None
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +116,7 @@ def _train_entries(entries: list, base: Path, cfg: PipelineConfig) -> list:
             action = e["action"]
         except (TypeError, KeyError):
             raise DataError("train manifest entries need 'video' and 'action'") from None
-        feats, _ = _cached_features(video, cfg)
+        feats, _ = _cached_features(video, cfg, need_frame_count=False)
         out.append((feats, action, e.get("scenario", "")))
     return out
 
@@ -119,10 +129,10 @@ def _test_entries(entries: list, base: Path, cfg: PipelineConfig, action_names=N
             labels = _resolve(base, e["labels"])
         except (TypeError, KeyError):
             raise DataError("test manifest entries need 'video' and 'labels'") from None
-        feats, seq = _cached_features(video, cfg)
+        feats, n_frames = _cached_features(video, cfg, need_frame_count=True)
         truth = load_labels(labels, action_names)
-        if len(truth) != len(seq):
-            raise DataError(f"{labels}: {len(truth)} labels for {len(seq)} frames")
+        if len(truth) != n_frames:
+            raise DataError(f"{labels}: {len(truth)} labels for {n_frames} frames")
         out.append((feats, truth, video))
     return out
 
@@ -171,24 +181,24 @@ def _load_bank(models_dir: Path) -> ModelBank:
 def cmd_segment(args) -> int:
     cfg = _config_from_args(args)
     bank = _load_bank(Path(args.models))
-    feats, seq = _cached_features(Path(args.video), cfg)
+    feats, n_frames = _cached_features(Path(args.video), cfg, need_frame_count=True)
     window = cfg.retained_window()
     if len(feats) < window:
         raise DataError(
             f"{args.video}: video too short for the scoring window "
             f"({len(feats)} retained frames < {window})"
         )
-    seg = segment_video(feats, bank, window, n_frames=len(seq))
+    seg = segment_video(feats, bank, window, n_frames=n_frames)
     save_labels(LabelTrack(seg.frame_labels, bank.action_names), args.out)
     print(f"wrote {len(seg.segments)} segment(s) -> {args.out}")
 
     if args.scores_out:
-        fused = frame_fusion(window_scores(feats, bank, window), len(feats), window)
         dump = {
             "actions": bank.action_names,
             "retained_frames": [ff.frame_index for ff in feats],
             "fused": [
-                [None if np.isnan(v) else v for v in row] for row in fused.tolist()
+                [None if np.isnan(v) else v for v in row]
+                for row in seg.fused_scores.tolist()
             ],
         }
         Path(args.scores_out).write_text(json.dumps(dump, indent=1) + "\n")

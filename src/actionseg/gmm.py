@@ -14,11 +14,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# exp() of anything below this is exactly 0.0 (the smallest subnormal is
+# exp(-745.133...)). NumPy's vector exp takes a slow path for lanes that
+# underflow, so the log-sum-exp zeroes them without calling exp on them.
+_EXP_ZERO_BELOW = -745.2
 
 # A component whose responsibility mass falls below this fraction of the
 # data count is considered starved and re-seeded during the M-step.
@@ -111,6 +115,18 @@ def _nearest_center(data: np.ndarray, centers: np.ndarray, block: int = 8192):
     return labels, d2
 
 
+def _group_rows(data: np.ndarray, labels: np.ndarray, n_groups: int):
+    """Rows of ``data`` sorted stably by label, and each label's row range.
+
+    Returns (grouped, starts, stops): label g owns
+    ``grouped[starts[g]:stops[g]]``, the rows ``data[labels == g]`` in their
+    original order, so reductions over it match the masked form bit for bit.
+    """
+    counts = np.bincount(labels, minlength=n_groups)
+    stops = np.cumsum(counts)
+    return data[np.argsort(labels, kind="stable")], stops - counts, stops
+
+
 def kmeans_init(
     data: np.ndarray,
     n_components: int,
@@ -150,26 +166,26 @@ def kmeans_init(
 
     labels, d2 = _nearest_center(data, centers)
     for _ in range(kmeans_iters):
+        grouped, starts, stops = _group_rows(data, labels, n_components)
         for g in range(n_components):
-            mask = labels == g
-            if not np.any(mask):
+            if starts[g] == stops[g]:
                 far = int(np.argmax(d2))
                 centers[g] = data[far]
                 d2[far] = 0.0
             else:
-                centers[g] = data[mask].mean(axis=0)
+                centers[g] = grouped[starts[g] : stops[g]].mean(axis=0)
         new_labels, d2 = _nearest_center(data, centers)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
 
+    grouped, starts, stops = _group_rows(data, labels, n_components)
     means = np.empty((n_components, dim))
     variances = np.empty((n_components, dim))
     weights = np.empty(n_components)
     for g in range(n_components):
-        mask = labels == g
-        if not np.any(mask):
+        if starts[g] == stops[g]:
             # final assignment left a cluster empty: seed it from the
             # farthest point with a floored variance
             far = int(np.argmax(d2))
@@ -177,7 +193,7 @@ def kmeans_init(
             variances[g] = var_floor
             weights[g] = 1.0 / n
             continue
-        pts = data[mask]
+        pts = grouped[starts[g] : stops[g]]
         means[g] = pts.mean(axis=0)
         variances[g] = np.maximum(pts.var(axis=0), var_floor)
         weights[g] = pts.shape[0] / n
@@ -189,20 +205,57 @@ def kmeans_init(
 # densities
 
 def _component_log_densities(means: np.ndarray, variances: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-component Gaussian log densities, (n, G).
+    """Per-component Gaussian log densities, (n, G) in C order.
 
     Uses the explicit (x - mu)^2 form per component rather than an expanded
     quadratic, which keeps cancellation error well below the 1e-10 oracle
-    tolerance.
+    tolerance. Each component fills one contiguous row of a (G, n) buffer
+    through a reused ``diff`` scratch, and the buffer is copied transposed
+    into the output once.
     """
     n = x.shape[0]
     g, dim = means.shape
-    out = np.empty((n, g))
     const = -0.5 * (dim * _LOG_2PI + np.log(variances).sum(axis=1))
     half_inv = 0.5 / variances
+    by_comp = np.empty((g, n))
+    diff = np.empty((n, dim))
     for comp in range(g):
-        diff = x - means[comp]
-        out[:, comp] = const[comp] - (diff * diff) @ half_inv[comp]
+        dens = by_comp[comp]
+        np.subtract(x, means[comp], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.matmul(diff, half_inv[comp], out=dens)
+        np.subtract(const[comp], dens, out=dens)
+    return np.ascontiguousarray(by_comp.T)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=1))`` of an (n, G) C-order array; overwrites ``a``.
+
+    The operations of ``scipy.special.logsumexp`` (SciPy 1.17) in the same
+    order, so the result is bit-identical to it: the row maxima are split
+    off (``m`` tied entries), the rest is shifted, exponentiated and summed,
+    and the result is ``log1p(s / m) + log(m) + max``. A row of -inf gives
+    -inf, as there.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    ties = a == a_max
+    m = np.count_nonzero(ties, axis=1).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on rows of -inf
+        a -= a_max
+    # keep the entries whose exp is neither a tie nor exactly 0.0; the rest
+    # (NaN on rows of -inf included) go through exp as zeros and are
+    # multiplied out again
+    keep = a >= _EXP_ZERO_BELOW
+    np.greater(keep, ties, out=keep)
+    np.fmax(a, _EXP_ZERO_BELOW, out=a)
+    a *= keep
+    np.exp(a, out=a)
+    a *= keep
+    s = a.sum(axis=1)
+    s /= m
+    out = np.log1p(s)
+    out += np.log(m)
+    out += a_max[:, 0]
     return out
 
 
@@ -215,7 +268,9 @@ def log_pdf_batch(model: GmmModel, x: np.ndarray) -> np.ndarray:
         raise ValueError("vectors must be finite")
     with np.errstate(divide="ignore"):
         log_w = np.log(model.weights)
-    return logsumexp(_component_log_densities(model.means, model.variances, x) + log_w, axis=1)
+    log_joint = _component_log_densities(model.means, model.variances, x)
+    log_joint += log_w
+    return _logsumexp_rows(log_joint)
 
 
 def log_pdf(model: GmmModel, x: np.ndarray) -> float:
@@ -265,8 +320,9 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
     for iteration in range(cfg.max_iters):
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)
-        log_joint = _component_log_densities(means, variances, data) + log_w
-        per_point = logsumexp(log_joint, axis=1)
+        log_joint = _component_log_densities(means, variances, data)
+        log_joint += log_w
+        per_point = _logsumexp_rows(log_joint.copy())
         mean_ll = float(np.mean(per_point))
         history.append(mean_ll)
         if callback is not None:

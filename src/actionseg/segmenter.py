@@ -10,7 +10,7 @@ shorter than the window length are merged into their predecessor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,9 +21,15 @@ from .gmm import GmmModel, log_pdf_batch
 @dataclass
 class Segmentation:
     """Per-frame labels; ``segments`` is their run-length encoding as
-    inclusive ``(start, end, label)`` runs."""
+    inclusive ``(start, end, label)`` runs.
+
+    ``fused_scores``, set by ``segment_video``, holds the fused per-action
+    window scores of each retained frame that the labels were read from:
+    (retained frames, actions), NaN rows where no window scored.
+    """
 
     frame_labels: np.ndarray
+    fused_scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.frame_labels = np.asarray(self.frame_labels, dtype=np.int64)
@@ -236,7 +242,8 @@ def segment_video(
     covers original frames 0..n_frames-1, frames dropped by temporal
     subsampling inheriting the label of the nearest retained frame (ties go
     to the earlier frame). If no window produced a score the whole video
-    falls back to action 1, with a ``UserWarning``.
+    falls back to action 1, with a ``UserWarning``. The result carries the
+    fused retained-frame scores as ``fused_scores``.
     """
     t = len(features)
     scores = window_scores(features, bank, window_len)
@@ -265,4 +272,4 @@ def segment_video(
         raise ValueError("n_frames smaller than the last retained frame index")
     all_frames = np.arange(n_frames)
     nearest = _nearest_index(retained_pos, all_frames)
-    return Segmentation(merged.frame_labels[nearest])
+    return Segmentation(merged.frame_labels[nearest], fused_scores=fused)

@@ -11,6 +11,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.ndimage import convolve
+from scipy.special import logsumexp
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,29 @@ def plain_log_pdf(weights, means, variances, x) -> float:
     return peak + math.log(sum(math.exp(l - peak) for l in logs))
 
 
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def reference_component_log_densities(means, variances, x):
+    """Per-component Gaussian log densities, (n, G), one column per component."""
+    n = x.shape[0]
+    g, dim = means.shape
+    out = np.empty((n, g))
+    const = -0.5 * (dim * _LOG_2PI + np.log(variances).sum(axis=1))
+    half_inv = 0.5 / variances
+    for comp in range(g):
+        diff = x - means[comp]
+        out[:, comp] = const[comp] - (diff * diff) @ half_inv[comp]
+    return out
+
+
+def reference_log_pdf_batch(weights, means, variances, x):
+    """Mixture log density per row: the densities above plus ``scipy.special.logsumexp``."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    return logsumexp(reference_component_log_densities(means, variances, x) + log_w, axis=1)
+
+
 def batch_mean_ll(weights, means, variances, data) -> float:
     """Mean mixture log density over rows of ``data`` via one broadcasted
     (n, G, D) computation and a manual max-shifted log-sum-exp."""
@@ -224,6 +248,78 @@ def batch_mean_ll(weights, means, variances, data) -> float:
     peak = joint.max(axis=1, keepdims=True)
     ll = peak[:, 0] + np.log(np.exp(joint - peak).sum(axis=1))
     return float(ll.mean())
+
+
+# ---------------------------------------------------------------------------
+# k-means++ seeding with a per-component masked Lloyd update
+
+def _reference_nearest_center(data, centers, block=8192):
+    n = data.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n, dtype=np.float64)
+    c2 = np.einsum("ij,ij->i", centers, centers)
+    for start in range(0, n, block):
+        chunk = data[start : start + block]
+        cross = chunk @ centers.T
+        dist = c2[None, :] - 2.0 * cross
+        labels_chunk = np.argmin(dist, axis=1)
+        labels[start : start + block] = labels_chunk
+        diff = chunk - centers[labels_chunk]
+        d2[start : start + block] = np.einsum("ij,ij->i", diff, diff)
+    return labels, d2
+
+
+def reference_kmeans_init(data, n_components, seed=0, kmeans_iters=20, var_floor=1e-3):
+    """(means, variances, weights), each cluster reduced through a boolean mask."""
+    data = np.asarray(data, dtype=np.float64)
+    n, dim = data.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((n_components, dim))
+    centers[0] = data[rng.integers(n)]
+    d2 = np.einsum("ij,ij->i", data - centers[0], data - centers[0])
+    for g in range(1, n_components):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[g] = data[idx]
+        diff = data - centers[g]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+
+    labels, d2 = _reference_nearest_center(data, centers)
+    for _ in range(kmeans_iters):
+        for g in range(n_components):
+            mask = labels == g
+            if not np.any(mask):
+                far = int(np.argmax(d2))
+                centers[g] = data[far]
+                d2[far] = 0.0
+            else:
+                centers[g] = data[mask].mean(axis=0)
+        new_labels, d2 = _reference_nearest_center(data, centers)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+
+    means = np.empty((n_components, dim))
+    variances = np.empty((n_components, dim))
+    weights = np.empty(n_components)
+    for g in range(n_components):
+        mask = labels == g
+        if not np.any(mask):
+            far = int(np.argmax(d2))
+            means[g] = data[far]
+            variances[g] = var_floor
+            weights[g] = 1.0 / n
+            continue
+        pts = data[mask]
+        means[g] = pts.mean(axis=0)
+        variances[g] = np.maximum(pts.var(axis=0), var_floor)
+        weights[g] = pts.shape[0] / n
+    weights /= weights.sum()
+    return means, variances, weights
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,9 @@ from actionseg.frame_io import load_labels, load_sequence
 from actionseg.gmm import load_model
 from actionseg.segmenter import ModelBank, segment_video
 
+from test_trace_targets import tracing
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SYNTH_SPEC = {
     "frame_size": [32, 32],
@@ -222,6 +228,21 @@ class TestTrainCommand:
                      "--out", str(root / "m_again")]) == 0
         assert {p: p.stat().st_mtime_ns for p in feats} == stamps
 
+    def test_warm_cache_decodes_nothing(self, synth_dataset, monkeypatch):
+        root, out, cfg = synth_dataset
+        args = ["train", "--config", str(cfg), "--manifest", str(out / "manifest.json")]
+        assert main(args + ["--out", str(root / "cold")]) == 0
+        decoded = []
+
+        def counting_load(path):
+            decoded.append(path)
+            return load_sequence(path)
+
+        monkeypatch.setattr("actionseg.cli.load_sequence", counting_load)
+        assert main(args + ["--out", str(root / "warm")]) == 0
+        assert decoded == []
+        assert tree_digest(root / "cold") == tree_digest(root / "warm")
+
     def test_failed_cache_write_leaves_no_feature_file(self, synth_dataset, cache_env,
                                                        monkeypatch):
         root, out, cfg = synth_dataset
@@ -339,6 +360,22 @@ class TestSegmentCommand:
         assert dump["actions"] == ["right", "updown"]
         assert len(dump["fused"]) == len(dump["retained_frames"])
 
+    def test_scores_out_scores_windows_once(self, synth_dataset):
+        root, out, cfg_path = synth_dataset
+        models = root / "models"
+        main(["train", "--config", str(cfg_path),
+              "--manifest", str(out / "manifest.json"), "--out", str(models)])
+        args = ["segment", "--config", str(cfg_path), "--models", str(models),
+                "--video", str(out / "fold_0" / "test" / "seq_0"), "--out", str(root / "s.csv")]
+        counts = []
+        for extra in ([], ["--scores-out", str(root / "scores.json")]):
+            with tracing.traced(tracing.Tracer()) as tracer:
+                assert main(args + extra) == 0
+            metrics = tracing.layer_metrics(tracer)
+            counts.append((metrics["segmenter.windows_scored"], metrics["gmm.log_pdf_batch_calls"]))
+        assert counts[0][0] > 0
+        assert counts[0] == counts[1]
+
     def test_missing_models_dir_is_data_error(self, synth_dataset, capsys):
         root, out, cfg_path = synth_dataset
         code = main(["segment", "--config", str(cfg_path),
@@ -346,6 +383,14 @@ class TestSegmentCommand:
                      "--video", str(out / "fold_0" / "train" / "right_0"),
                      "--out", str(root / "x.csv")])
         assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, actionseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEvalCommand:

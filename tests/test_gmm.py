@@ -1,8 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from actionseg import gmm
 from actionseg.errors import DataError
 from actionseg.gmm import (
     FitConfig,
@@ -15,7 +18,14 @@ from actionseg.gmm import (
     save_model,
 )
 
-from oracles import batch_mean_ll, mp_log_pdf, plain_log_pdf
+from oracles import (
+    batch_mean_ll,
+    mp_log_pdf,
+    plain_log_pdf,
+    reference_component_log_densities,
+    reference_kmeans_init,
+    reference_log_pdf_batch,
+)
 
 
 def random_model(rng, dim=14, n_components=3, action="a"):
@@ -70,6 +80,122 @@ class TestKmeansInit:
         b = kmeans_init(data, 8, seed=7)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestMatchesMaskedReference:
+    """kmeans_init equals the per-component masked Lloyd update byte for byte."""
+
+    @pytest.mark.parametrize(
+        "n, dim, g",
+        [(5700, 14, 256), (500, 1, 8), (300, 2, 5)],
+        ids=["kth_shape", "one_dim", "two_dim"],
+    )
+    def test_random_clusters(self, n, dim, g):
+        rng = np.random.default_rng(n)
+        centers = rng.normal(80.0, 40.0, (g, dim))
+        data = centers[rng.integers(g, size=n)] + rng.normal(0.0, 5.0, (n, dim))
+        got = kmeans_init(data, g, seed=3)
+        want = reference_kmeans_init(data, g, seed=3)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_empty_cluster_reseeded(self, dim):
+        # two distinct points and three clusters: one cluster is always empty
+        data = np.repeat(np.random.default_rng(dim).normal(size=(2, dim)), [40, 60], axis=0)
+        for seed in range(4):
+            got = kmeans_init(data, 3, seed=seed)
+            want = reference_kmeans_init(data, 3, seed=seed)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def adversarial_rows(rng, model, n):
+    """Rows cycling through four kinds: at component 0 (a tie, when component
+    1 duplicates it), far in the tail of every component, far enough that
+    (x - mu)^2 overflows, and ordinary draws with coordinates near 160."""
+    dim = model.dim
+    kinds = [
+        model.means[0] + rng.normal(0.0, 1e-3, dim),
+        model.means[0] + 1e4,
+        np.full(dim, 1e160),
+        np.r_[rng.uniform(150.0, 170.0, 2), rng.normal(80.0, 40.0, dim - 2)],
+    ]
+    return np.array([kinds[i % 4] for i in range(n)])
+
+
+def adversarial_model(rng, g, dim=14):
+    """Coordinates near 160 at the variance floor, component 1 a duplicate of
+    component 0 and the last component at zero weight."""
+    means = rng.normal(80.0, 40.0, (g, dim))
+    means[:, :2] = rng.uniform(150.0, 170.0, (g, 2))
+    variances = rng.uniform(0.5, 50.0, (g, dim))
+    variances[:, :2] = 1e-3
+    w = rng.uniform(0.1, 1.0, g)
+    if g > 1:
+        means[1], variances[1], w[1] = means[0], variances[0], w[0]
+    if g > 2:
+        w[-1] = 0.0
+    return GmmModel(w / w.sum(), means, variances)
+
+
+class TestMatchesScipyReference:
+    """log_pdf_batch and em_fit equal the per-column densities plus
+    scipy.special.logsumexp byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 3, 1900])
+    @pytest.mark.parametrize("g", [1, 4, 256, 1024])
+    def test_log_pdf_batch(self, g, n):
+        rng = np.random.default_rng(g * 7919 + n)
+        model = adversarial_model(rng, g)
+        x = adversarial_rows(rng, model, n)
+        with np.errstate(over="ignore"):
+            got = log_pdf_batch(model, x)
+            want = reference_log_pdf_batch(model.weights, model.means, model.variances, x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_rows(self):
+        model = adversarial_model(np.random.default_rng(0), 4)
+        x = np.empty((0, model.dim))
+        got = log_pdf_batch(model, x)
+        want = reference_log_pdf_batch(model.weights, model.means, model.variances, x)
+        assert got.shape == want.shape == (0,)
+
+    def test_logsumexp_rows_edge_rows(self):
+        rows = [
+            [0.0, -720.0],  # the only other term is subnormal
+            [0.0, -745.1, -745.2],  # the smallest subnormal, then exactly 0.0
+            [-np.inf, -np.inf],
+            [-np.inf, 2.5],
+            [3.0, 3.0, 3.0],
+            [5.0, 5.0, 4.9, -1.0],  # tied maxima beside a term of the same size
+            [1e300, -1e300, 1e300],
+            [-1e-300, -2e-300, 0.0],
+        ]
+        width = max(map(len, rows))
+        a = np.array([r + [-np.inf] * (width - len(r)) for r in rows])
+        with np.errstate(divide="ignore"):
+            want = logsumexp(a, axis=1)
+        assert gmm._logsumexp_rows(a.copy()).tobytes() == want.tobytes()
+        rng = np.random.default_rng(8)
+        for scale in (2.0, 300.0):  # many ties, then many underflows
+            a = np.round(rng.normal(0.0, scale, (2000, 9)), 1)
+            assert gmm._logsumexp_rows(a.copy()).tobytes() == logsumexp(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, dim, g", [(2049, 14, 8), (300, 1, 4), (4101, 2, 16)]
+    )
+    def test_em_fit(self, monkeypatch, n, dim, g):
+        rng = np.random.default_rng(n + dim)
+        centers = rng.normal(0.0, 6.0, (g, dim))
+        data = centers[rng.integers(g, size=n)] + rng.normal(size=(n, dim))
+        cfg = FitConfig(g, max_iters=8, seed=1)
+        got = em_fit(data, cfg)
+        monkeypatch.setattr(gmm, "_component_log_densities", reference_component_log_densities)
+        monkeypatch.setattr(gmm, "_logsumexp_rows", functools.partial(logsumexp, axis=1))
+        monkeypatch.setattr(gmm, "kmeans_init", reference_kmeans_init)
+        want = em_fit(data, cfg)
+        for name in ("weights", "means", "variances"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.meta == want.meta
 
 
 class TestEmFit:
