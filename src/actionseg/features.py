@@ -14,8 +14,10 @@ varies with content and may be zero.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -163,31 +165,82 @@ def extract_frame_features(
     return FrameFeatures(index, vectors)
 
 
+def _usable_cpus() -> int:
+    """CPUs that flow workers may be forked onto: this process's affinity
+    mask where the OS has one. It is 1 where no worker can be forked: without
+    ``os.fork`` (Windows), and in a daemonic ``multiprocessing`` worker, which
+    may not have children."""
+    import multiprocessing
+
+    if not hasattr(os, "fork") or multiprocessing.current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _flow(prev: Frame, nxt: Frame, alpha: float, iters: int) -> FlowField:
+    """One frame pair's flow, the unit of work. ``horn_schunck`` is looked up
+    when called, so a wrapped or patched module attribute is what runs, in a
+    worker as in this process."""
+    return horn_schunck(prev, nxt, alpha, iters)
+
+
 def extract_video_features(seq: FrameSequence, cfg: ExtractionConfig) -> list[FrameFeatures]:
     """Run the descriptor pipeline over a sequence.
 
-    Flow is computed for every consecutive frame pair; features are emitted
-    for frames 2, 2 + stride, 2 + 2*stride, ... (the temporal flow
-    derivative needs the two preceding flows, so frame 2 is the first usable
-    one). Each FrameFeatures keeps the original frame index.
+    Features are emitted for frames 2, 2 + stride, 2 + 2*stride, ... (the
+    temporal flow derivative needs the two preceding flows, so frame 2 is the
+    first usable one), and flow is computed only for the pairs those frames
+    read: ``t-2 -> t-1`` and ``t-1 -> t``. The pairs run on every CPU in
+    this process's affinity mask, in forked workers when there is more than
+    one; the output does not depend on the worker count. Each FrameFeatures
+    keeps the original frame index.
     """
     n = len(seq)
     if n < 3:
         raise ValueError("sequence too short: need at least 3 frames")
-    retained = set(range(2, n, cfg.frame_stride))
+    retained = range(2, n, cfg.frame_stride)
+    # pair s is the flow from frame s-1 to frame s
+    pairs = sorted({s for t in retained for s in (t - 1, t)})
+    frames = seq.frames
+    args = (
+        [frames[s - 1] for s in pairs],
+        [frames[s] for s in pairs],
+        repeat(cfg.hs_alpha),
+        repeat(cfg.hs_iters),
+    )
+    workers = min(_usable_cpus(), len(pairs))
+    if workers == 1:
+        return _assemble(frames, retained, pairs, map(_flow, *args), cfg.tau)
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return _assemble(frames, retained, pairs, pool.map(_flow, *args), cfg.tau)
+    finally:
+        # after an error, pairs not yet started are dropped, not run
+        pool.shutdown(cancel_futures=True)
+
+
+def _assemble(
+    frames: list[Frame], retained: range, pairs: list[int], flows, tau: float
+) -> list[FrameFeatures]:
+    """Features of the retained frames, in order, from the flows of ``pairs``
+    as they arrive; only the previous pair's flow is held."""
     out: list[FrameFeatures] = []
-    flow_prev = horn_schunck(seq.frames[0], seq.frames[1], cfg.hs_alpha, cfg.hs_iters)
-    for t in range(2, n):
-        flow_curr = horn_schunck(seq.frames[t - 1], seq.frames[t], cfg.hs_alpha, cfg.hs_iters)
+    flow_prev = None
+    for t, flow_curr in zip(pairs, flows):
         if t in retained:
-            frame = seq.frames[t]
+            frame = frames[t]
             grads = spatial_gradients(frame)
             flow_dt = flow_time_derivative(flow_prev, flow_curr)
             div = flow_divergence(flow_curr)
             vort = flow_vorticity(flow_curr)
-            out.append(
-                extract_frame_features(frame, grads, flow_curr, flow_dt, div, vort, cfg.tau)
-            )
+            out.append(extract_frame_features(frame, grads, flow_curr, flow_dt, div, vort, tau))
         flow_prev = flow_curr
     return out
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actionseg import features
 from actionseg.cli import main
 from actionseg.config import PipelineConfig, load_config
 from actionseg.errors import ConfigError
@@ -261,6 +263,20 @@ class TestTrainCommand:
         assert main(args) == 0
         assert list(cache.glob("*.feat"))
 
+    def test_flow_error_in_worker_is_internal_error(self, synth_dataset, monkeypatch, capsys):
+        root, out, cfg = synth_dataset
+
+        def failing(prev, nxt, alpha, iters):
+            raise ValueError(f"no flow for pair {prev.index}->{nxt.index}")
+
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(features, "horn_schunck", failing)
+        code = main(["train", "--config", str(cfg), "--manifest", str(out / "manifest.json"),
+                     "--out", str(root / "m")])
+        assert code == 3
+        assert "internal error: ValueError: no flow for pair 0->1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
     def test_per_scenario_trains_model_per_pair(self, synth_dataset):
         root, out, cfg = synth_dataset
         manifest = json.loads((out / "manifest.json").read_text())
@@ -386,7 +402,10 @@ class TestSegmentCommand:
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, actionseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # nor the process pool's modules, which only a flow computation imports
+    prefixes = ("scipy", "concurrent.futures", "multiprocessing")
+    code = ("import sys, actionseg.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes})))")
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)

@@ -1,8 +1,15 @@
+import itertools
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionseg import features
 from actionseg.errors import DataError
 from actionseg.features import (
     FEATURE_DIM,
@@ -215,28 +222,140 @@ class TestExtractVideo:
         with pytest.raises(ValueError, match="too short"):
             extract_video_features(seq, ExtractionConfig())
 
-    def test_matches_straightline_pipeline_oracle(self):
+    def test_matches_straightline_pipeline_oracle(self, monkeypatch):
         # independent orchestration: compute all flows, then per retained
-        # frame assemble fields and count/compare vectors
-        seq = moving_square_sequence(9, size=10)
-        cfg = ExtractionConfig(tau=25.0, frame_stride=2, hs_alpha=10.0, hs_iters=40)
-        out = extract_video_features(seq, cfg)
+        # frame assemble fields and compare vectors by bytes, for every
+        # stride, odd and even lengths, and serial and pooled flow
+        for stride, n, workers in itertools.product([1, 2, 3, 4], [3, 4, 9, 12, 13], [1, 2]):
+            case = f"stride {stride}, {n} frames, {workers} worker(s)"
+            monkeypatch.setattr(features, "_usable_cpus", lambda: workers)
+            seq = moving_square_sequence(n, size=10)
+            cfg = ExtractionConfig(tau=25.0, frame_stride=stride, hs_alpha=10.0, hs_iters=40)
+            out = extract_video_features(seq, cfg)
 
-        flows = [
-            horn_schunck(seq.frames[t - 1], seq.frames[t], cfg.hs_alpha, cfg.hs_iters)
-            for t in range(1, len(seq))
-        ]
-        expected_indices = list(range(2, 9, 2))
-        assert [ff.frame_index for ff in out] == expected_indices
-        for ff, t in zip(out, expected_indices):
-            grads = spatial_gradients(seq.frames[t])
-            flow = flows[t - 1]
-            dt = flow_time_derivative(flows[t - 2], flow)
-            ref = extract_frame_features(
-                seq.frames[t], grads, flow, dt,
-                flow_divergence(flow), flow_vorticity(flow), cfg.tau,
-            )
-            np.testing.assert_array_equal(ff.vectors, ref.vectors)
+            flows = [
+                horn_schunck(seq.frames[t - 1], seq.frames[t], cfg.hs_alpha, cfg.hs_iters)
+                for t in range(1, len(seq))
+            ]
+            expected_indices = list(range(2, n, stride))
+            assert [ff.frame_index for ff in out] == expected_indices, case
+            for ff, t in zip(out, expected_indices):
+                grads = spatial_gradients(seq.frames[t])
+                flow = flows[t - 1]
+                dt = flow_time_derivative(flows[t - 2], flow)
+                ref = extract_frame_features(
+                    seq.frames[t], grads, flow, dt,
+                    flow_divergence(flow), flow_vorticity(flow), cfg.tau,
+                )
+                assert ff.vectors.shape == ref.vectors.shape, case
+                assert ff.vectors.tobytes() == ref.vectors.tobytes(), case
+
+    # flows computed, by hand: stride 1 needs every pair; stride 2 on an even
+    # length skips the last pair; strides 3 and 4 skip the pairs between the
+    # retained frames' (t-2 -> t-1, t-1 -> t)
+    @pytest.mark.parametrize(
+        "stride, n, calls",
+        [(1, 9, 8), (1, 10, 9), (2, 9, 8), (2, 10, 8),
+         (3, 9, 6), (3, 10, 6), (4, 9, 4), (4, 10, 4), (4, 11, 6)],
+    )
+    def test_computes_only_the_flows_retained_frames_read(self, monkeypatch, stride, n, calls):
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+        computed = []
+
+        def recording(prev, nxt, alpha, iters):
+            computed.append((prev.index, nxt.index))
+            return horn_schunck(prev, nxt, alpha, iters)
+
+        monkeypatch.setattr(features, "horn_schunck", recording)
+        seq = moving_square_sequence(n, size=10)
+        out = extract_video_features(seq, ExtractionConfig(frame_stride=stride, hs_iters=5))
+        assert len(computed) == calls
+        assert computed == sorted(set(computed))
+        assert all(b == a + 1 for a, b in computed)
+        for ff in out:
+            t = ff.frame_index
+            assert (t - 2, t - 1) in computed and (t - 1, t) in computed
+
+
+class TestFlowPool:
+    """Frame pairs run in forked workers when more than one CPU is usable."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+
+    def test_no_worker_outlives_a_call(self):
+        out = extract_video_features(moving_square_sequence(9), ExtractionConfig(hs_iters=5))
+        assert [ff.frame_index for ff in out] == [2, 4, 6, 8]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        def failing(prev, nxt, alpha, iters):
+            if nxt.index == 5:
+                raise ValueError(f"no flow for pair {prev.index}->{nxt.index}")
+            return horn_schunck(prev, nxt, alpha, iters)
+
+        monkeypatch.setattr(features, "horn_schunck", failing)
+        with pytest.raises(ValueError, match=r"^no flow for pair 4->5$"):
+            extract_video_features(moving_square_sequence(9), ExtractionConfig(hs_iters=5))
+        assert multiprocessing.active_children() == []
+
+    def test_broken_pool_is_not_retried_serially(self, monkeypatch):
+        parent = os.getpid()
+        in_parent = []
+
+        def dying(prev, nxt, alpha, iters):
+            if os.getpid() == parent:
+                in_parent.append(nxt.index)
+                return horn_schunck(prev, nxt, alpha, iters)
+            os._exit(1)
+
+        monkeypatch.setattr(features, "horn_schunck", dying)
+        with pytest.raises(BrokenProcessPool):
+            extract_video_features(moving_square_sequence(9), ExtractionConfig(hs_iters=5))
+        assert in_parent == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing_step", ["flow", "assembly"])
+    def test_pending_pairs_cancelled_after_error(self, monkeypatch, tmp_path, failing_step):
+        ran = tmp_path / "ran"
+        ran.touch()
+
+        def slow_flow(prev, nxt, alpha, iters):
+            if failing_step == "flow" and nxt.index == 1:
+                raise ValueError("first step failed")
+            time.sleep(0.05)
+            with open(ran, "a") as fh:
+                fh.write(f"{nxt.index}\n")
+            return FlowField(np.zeros(prev.pixels.shape), np.zeros(prev.pixels.shape))
+
+        def failing_assembly(*args):
+            raise ValueError("first step failed")
+
+        monkeypatch.setattr(features, "horn_schunck", slow_flow)
+        if failing_step == "assembly":
+            monkeypatch.setattr(features, "extract_frame_features", failing_assembly)
+        n = 40  # 39 pairs at stride 1, each of which would write a line if run
+        with pytest.raises(ValueError, match="first step failed"):
+            extract_video_features(moving_square_sequence(n), ExtractionConfig(frame_stride=1))
+        # the workers are joined before the error is raised, so no more lines come
+        assert len(ran.read_text().split()) < (n - 1) // 2
+        assert multiprocessing.active_children() == []
+
+
+class TestUsableCpus:
+    def test_one_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert features._usable_cpus() == 1
+
+    def test_daemonic_worker_extracts_in_its_own_process(self):
+        # a multiprocessing.Pool worker is daemonic and may not fork a pool
+        seq, cfg = moving_square_sequence(9), ExtractionConfig(hs_iters=5)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(features._usable_cpus) == 1
+            out = pool.apply(extract_video_features, (seq, cfg))
+        ref = extract_video_features(seq, cfg)
+        assert [ff.vectors.tobytes() for ff in out] == [ff.vectors.tobytes() for ff in ref]
 
 
 class TestFeatureDump:

@@ -7,8 +7,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from actionseg.features import FEATURE_DIM, FrameFeatures
+from actionseg import features
+from actionseg.features import FEATURE_DIM, ExtractionConfig, FrameFeatures
+from actionseg.frame_io import Frame, FrameSequence
 from actionseg.gmm import GmmModel
 from actionseg.segmenter import ModelBank, segment_video
 
@@ -57,3 +60,38 @@ def test_segment_video_counters_match_hand_counts():
     assert metrics["segmenter.fallback_videos"] == 0
     # one call per (non-empty frame, model)
     assert metrics["gmm.log_pdf_batch_calls"] == 3 * 2
+
+
+def textured_sequence(n, shape=(12, 14)):
+    base = np.random.default_rng(3).uniform(0, 255, shape)
+    return FrameSequence([Frame(t, np.roll(base, t, axis=1)) for t in range(n)])
+
+
+def test_serial_extraction_counts_only_needed_flows(monkeypatch):
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 1)
+    # stride 3 over 11 frames retains 2, 5 and 8, which read the pairs
+    # 0->1, 1->2, 3->4, 4->5, 6->7 and 7->8; pairs 2->3, 5->6 and 8->9 onward
+    # are read by no retained frame
+    cfg = ExtractionConfig(frame_stride=3, hs_iters=7)
+    with tracing.traced(tracing.Tracer()) as tracer:
+        out = features.extract_video_features(textured_sequence(11), cfg)
+    metrics = tracing.layer_metrics(tracer)
+
+    assert [ff.frame_index for ff in out] == [2, 5, 8]
+    assert metrics["motion.horn_schunck_calls"] == 6
+    assert metrics["motion.pixel_iters"] == 6 * 12 * 14 * 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_extraction_matches_untraced(monkeypatch, workers):
+    # the tracer's wrapper replaces features.horn_schunck; pooled workers
+    # run it, but their spans stay in the workers, so the parent counts none
+    monkeypatch.setattr(features, "_usable_cpus", lambda: workers)
+    seq, cfg = textured_sequence(9), ExtractionConfig(tau=20.0, hs_iters=7)
+    plain = features.extract_video_features(seq, cfg)
+    with tracing.traced(tracing.Tracer()) as tracer:
+        out = features.extract_video_features(seq, cfg)
+    metrics = tracing.layer_metrics(tracer)
+
+    assert [ff.vectors.tobytes() for ff in out] == [ff.vectors.tobytes() for ff in plain]
+    assert metrics["motion.horn_schunck_calls"] == (8 if workers == 1 else 0)
