@@ -30,7 +30,7 @@ from .evaluation import (
     synth_folds,
     train_model_bank,
 )
-from .features import extract_video_features, load_features, save_features
+from .features import FEATURES_VERSION, extract_video_features, load_features, save_features
 from .frame_io import LabelTrack, load_labels, load_sequence, save_labels, save_sequence
 from .gmm import load_model, save_model
 from .segmenter import ModelBank, segment_video
@@ -60,32 +60,29 @@ def _video_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def _cached_features(video: Path, cfg: PipelineConfig, need_frame_count: bool):
+def _cached_features(video: Path, cfg: PipelineConfig):
     """Load (or extract and cache) features; returns (features, frame count).
 
-    The video is decoded only on a cache miss or when ``need_frame_count``
-    asks for its length; otherwise the frame count is None.
+    The video is decoded only on a cache miss. The key holds the format
+    version, so files of another version are never looked up.
     """
-    seq = load_sequence(video) if need_frame_count else None
     extraction = cfg.extraction_config()
-    key_src = f"{_video_digest(video)}|{extraction!r}"
+    key_src = f"{_video_digest(video)}|{extraction!r}|v{FEATURES_VERSION}"
     key = hashlib.sha256(key_src.encode()).hexdigest()
     cache_file = _cache_dir() / f"{key}.feat"
     if cache_file.exists():
-        feats = load_features(cache_file)
-    else:
-        if seq is None:
-            seq = load_sequence(video)
-        feats = extract_video_features(seq, extraction)
-        # write beside the target and rename, so a crash never leaves a
-        # truncated .feat that later runs would load
-        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-        try:
-            save_features(feats, tmp)
-            os.replace(tmp, cache_file)
-        finally:
-            tmp.unlink(missing_ok=True)
-    return feats, len(seq) if need_frame_count else None
+        return load_features(cache_file)
+    seq = load_sequence(video)
+    feats = extract_video_features(seq, extraction)
+    # write beside the target and rename, so a crash never leaves a
+    # truncated .feat that later runs would load
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        save_features(feats, len(seq), tmp)
+        os.replace(tmp, cache_file)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return feats, len(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +113,7 @@ def _train_entries(entries: list, base: Path, cfg: PipelineConfig) -> list:
             action = e["action"]
         except (TypeError, KeyError):
             raise DataError("train manifest entries need 'video' and 'action'") from None
-        feats, _ = _cached_features(video, cfg, need_frame_count=False)
+        feats, _ = _cached_features(video, cfg)
         out.append((feats, action, e.get("scenario", "")))
     return out
 
@@ -129,7 +126,7 @@ def _test_entries(entries: list, base: Path, cfg: PipelineConfig, action_names=N
             labels = _resolve(base, e["labels"])
         except (TypeError, KeyError):
             raise DataError("test manifest entries need 'video' and 'labels'") from None
-        feats, n_frames = _cached_features(video, cfg, need_frame_count=True)
+        feats, n_frames = _cached_features(video, cfg)
         truth = load_labels(labels, action_names)
         if len(truth) != n_frames:
             raise DataError(f"{labels}: {len(truth)} labels for {n_frames} frames")
@@ -181,7 +178,7 @@ def _load_bank(models_dir: Path) -> ModelBank:
 def cmd_segment(args) -> int:
     cfg = _config_from_args(args)
     bank = _load_bank(Path(args.models))
-    feats, n_frames = _cached_features(Path(args.video), cfg, need_frame_count=True)
+    feats, n_frames = _cached_features(Path(args.video), cfg)
     window = cfg.retained_window()
     if len(feats) < window:
         raise DataError(
@@ -224,8 +221,11 @@ def cmd_eval(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[EvalReport] = []
-    if manifest.get("folds"):
-        for i, fold in enumerate(manifest["folds"]):
+    folds = manifest.get("folds")
+    if folds:
+        if not isinstance(folds, list) or not all(isinstance(f, dict) for f in folds):
+            raise DataError(f"{manifest_path}: 'folds' must be a list of JSON objects")
+        for i, fold in enumerate(folds):
             train = _train_entries(fold.get("train", []), base, cfg)
             names = action_names or sorted({a for _, a, _ in train})
             tests = _test_entries(fold.get("test", []), base, cfg, names)

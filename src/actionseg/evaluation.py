@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import PipelineConfig, check_field_types
 from .errors import DataError
-from .features import extract_video_features
+from .features import FrameFeatures, extract_video_features
 from .frame_io import Frame, FrameSequence, LabelTrack
 from .gmm import em_fit
 from .segmenter import ModelBank, segment_video
@@ -403,28 +403,20 @@ def synth_folds(
 # ---------------------------------------------------------------------------
 # training and evaluation
 
-def _video_features(x, cfg: PipelineConfig):
-    """Accept a FrameSequence (extracted on the fly) or pre-extracted
-    FrameFeatures lists (as produced by the CLI's feature cache)."""
-    if isinstance(x, FrameSequence):
-        return extract_video_features(x, cfg.extraction_config())
-    return x
-
-
 def train_model_bank(
     train_videos: list,
     cfg: PipelineConfig,
     action_names: list[str],
 ) -> ModelBank:
-    """Extract features from single-action videos and fit one model per
-    (action[, scenario]) group from the pooled vectors."""
+    """Fit one model per (action[, scenario]) group from the pooled vectors
+    of single-action videos, given as (features, action) or (features,
+    action, scenario) tuples of ``extract_video_features`` output."""
     pools: dict[tuple[str, str], list[np.ndarray]] = {}
     for entry in train_videos:
-        seq, action = entry[0], entry[1]
+        feats, action = entry[0], entry[1]
         scenario = entry[2] if len(entry) > 2 and cfg.per_scenario else ""
         if action not in action_names:
             raise DataError(f"training video labelled with unknown action {action!r}")
-        feats = _video_features(seq, cfg)
         vectors = [ff.vectors for ff in feats if len(ff)]
         pools.setdefault((action, scenario), []).extend(vectors)
 
@@ -454,10 +446,11 @@ def train_model_bank(
 
 def evaluate_model_bank(
     bank: ModelBank,
-    test_videos: list[tuple[FrameSequence, LabelTrack]],
+    test_videos: list[tuple[list[FrameFeatures], LabelTrack]],
     cfg: PipelineConfig,
 ) -> tuple[EvalReport, list[LabelTrack]]:
-    """Segment every test video with an existing bank.
+    """Segment every test video, given as (features, truth), with an
+    existing bank.
 
     Returns the report aggregated over all test frames plus the per-video
     predicted label tracks (in input order).
@@ -467,8 +460,7 @@ def evaluate_model_bank(
     window = cfg.retained_window()
     confusion = np.zeros((bank.n_actions, bank.n_actions), dtype=np.int64)
     preds = []
-    for seq, truth in test_videos:
-        feats = _video_features(seq, cfg)
+    for feats, truth in test_videos:
         seg = segment_video(feats, bank, window, n_frames=len(truth))
         pred = LabelTrack(seg.frame_labels, bank.action_names)
         preds.append(pred)
@@ -496,8 +488,11 @@ def run_experiment(
         if truth.action_names != action_names:
             raise ValueError("test label tracks use inconsistent action vocabularies")
 
-    bank = train_model_bank(train_videos, cfg, action_names)
-    report, _ = evaluate_model_bank(bank, test_videos, cfg)
+    extraction = cfg.extraction_config()
+    train = [(extract_video_features(seq, extraction), *rest) for seq, *rest in train_videos]
+    bank = train_model_bank(train, cfg, action_names)
+    tests = [(extract_video_features(seq, extraction), truth) for seq, truth in test_videos]
+    report, _ = evaluate_model_bank(bank, tests, cfg)
     return report
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -246,45 +246,58 @@ def _assemble(
 
 
 # ---------------------------------------------------------------------------
-# binary dump used for feature caching: little-endian, magic + version,
-# then (n_frames, dim), then per frame (frame_index, k, k*dim float64).
+# binary dump used for feature caching, little-endian: a header of magic,
+# version, the video's frame count n_frames, the retained-frame count n and
+# dim; then an (n, 2) int64 table of (frame_index, k); then one (sum k, dim)
+# float64 block holding every frame's vectors in table order.
 
 _FEATURES_MAGIC = b"ASFV"
-_FEATURES_VERSION = 1
-_HEADER = struct.Struct("<4sIqq")
-_FRAME_HEADER = struct.Struct("<qq")
+FEATURES_VERSION = 2
+_HEADER = struct.Struct("<4sIqqq")
 
 
-def save_features(features: list[FrameFeatures], path) -> None:
+def save_features(features: list[FrameFeatures], n_frames: int, path) -> None:
+    """Write the retained frames' features of an ``n_frames``-frame video."""
+    table = np.array([(ff.frame_index, len(ff)) for ff in features], dtype="<i8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_FEATURES_MAGIC, _FEATURES_VERSION, len(features), FEATURE_DIM))
+        fh.write(_HEADER.pack(_FEATURES_MAGIC, FEATURES_VERSION, n_frames, len(features),
+                              FEATURE_DIM))
+        fh.write(table.tobytes())
         for ff in features:
-            fh.write(_FRAME_HEADER.pack(ff.frame_index, len(ff)))
             fh.write(ff.vectors.astype("<f8").tobytes())
 
 
-def load_features(path) -> list[FrameFeatures]:
+def load_features(path) -> tuple[list[FrameFeatures], int]:
+    """Read a ``save_features`` file; returns (features, n_frames). Every
+    frame's ``vectors`` is a read-only view into the one buffer read."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise DataError(f"{path}: truncated feature file")
-    magic, version, n_frames, dim = _HEADER.unpack_from(data)
+    magic, version, n_frames, n, dim = _HEADER.unpack_from(data)
     if magic != _FEATURES_MAGIC:
         raise DataError(f"{path}: not a feature dump")
-    if version != _FEATURES_VERSION:
+    if version != FEATURES_VERSION:
         raise DataError(f"{path}: unsupported feature format version {version}")
     if dim != FEATURE_DIM:
         raise DataError(f"{path}: unexpected feature dimension {dim}")
-    out = []
-    pos = _HEADER.size
-    for _ in range(n_frames):
-        if pos + _FRAME_HEADER.size > len(data):
-            raise DataError(f"{path}: truncated feature file")
-        frame_index, k = _FRAME_HEADER.unpack_from(data, pos)
-        pos += _FRAME_HEADER.size
-        nbytes = k * dim * 8
-        if pos + nbytes > len(data):
-            raise DataError(f"{path}: truncated feature file")
-        vectors = np.frombuffer(data[pos : pos + nbytes], dtype="<f8").reshape(k, dim)
-        out.append(FrameFeatures(frame_index, vectors.copy()))
-        pos += nbytes
-    return out
+    if n_frames < 0 or n < 0:
+        raise DataError(f"{path}: negative frame count")
+    table_end = _HEADER.size + 16 * n
+    if len(data) < table_end:
+        raise DataError(f"{path}: truncated feature file")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    table = buf[_HEADER.size : table_end].view("<i8").reshape(n, 2)
+    index, k = table[:, 0].tolist(), table[:, 1].tolist()
+    if any(c < 0 for c in k):
+        raise DataError(f"{path}: negative vector count")
+    size = table_end + sum(k) * dim * 8
+    if len(data) < size:
+        raise DataError(f"{path}: truncated feature file")
+    if len(data) > size:
+        raise DataError(f"{path}: {len(data) - size} trailing bytes after the feature block")
+    if n and not (0 <= index[0] and index[-1] < n_frames
+                  and all(a < b for a, b in zip(index, index[1:]))):
+        raise DataError(f"{path}: frame indices must increase within [0, {n_frames})")
+    block = buf[table_end:].view("<f8").reshape(-1, dim)
+    ends = accumulate(k)
+    return [FrameFeatures(i, block[e - c : e]) for i, c, e in zip(index, k, ends)], n_frames

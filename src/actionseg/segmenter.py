@@ -172,10 +172,10 @@ def frame_labels(fused: np.ndarray) -> np.ndarray:
 def merge_short_segments(labels, min_len: int) -> Segmentation:
     """Relabel runs shorter than ``min_len`` into their preceding run.
 
-    Scans left to right; a short leading run (which has no predecessor)
-    merges into the following run instead. The scan repeats until only runs
-    of at least ``min_len`` frames remain, except that a single run covering
-    everything may stay short.
+    One left-to-right scan; a short leading run (which has no predecessor)
+    merges into the following run instead. Afterwards every run is at least
+    ``min_len`` frames long and differs in label from its neighbours, except
+    that a single run covering everything may stay short.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
@@ -184,37 +184,25 @@ def merge_short_segments(labels, min_len: int) -> Segmentation:
         raise ValueError("min_len must be >= 1")
 
     runs = [[seg[2], seg[1] - seg[0] + 1] for seg in _run_segments(labels)]
-    while len(runs) > 1:
-        merged: list[list[int]] = []
-        lead = 0
-        changed = False
-        for lab, ln in runs:
-            if merged and lab == merged[-1][0]:
-                merged[-1][1] += ln
-            elif not merged:
-                eff = ln + lead
-                if eff < min_len:
-                    lead = eff
-                else:
-                    if lead:
-                        changed = True
-                    merged.append([lab, eff])
-                    lead = 0
-            elif ln < min_len:
-                merged[-1][1] += ln
-                changed = True
-            else:
-                merged.append([lab, ln])
-        if not merged:
-            # every run was short: the forward-merge cascade ends on the
-            # last run's label
-            merged = [[runs[-1][0], lead]]
-            changed = True
-        runs = merged
-        if not changed:
-            break
+    merged: list[list[int]] = []
+    lead = 0
+    for lab, ln in runs:
+        if merged and lab == merged[-1][0]:
+            merged[-1][1] += ln
+        elif not merged:
+            lead += ln
+            if lead >= min_len:
+                merged.append([lab, lead])
+        elif ln < min_len:
+            merged[-1][1] += ln
+        else:
+            merged.append([lab, ln])
+    if not merged:
+        # every run was short: the forward-merge cascade ends on the last
+        # run's label
+        merged = [[runs[-1][0], lead]]
 
-    out = np.repeat([lab for lab, _ in runs], [ln for _, ln in runs]).astype(np.int64)
+    out = np.repeat([lab for lab, _ in merged], [ln for _, ln in merged]).astype(np.int64)
     return Segmentation(out)
 
 

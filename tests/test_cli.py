@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actionseg import features
+from actionseg import cli, features
 from actionseg.cli import main
 from actionseg.config import PipelineConfig, load_config
 from actionseg.errors import ConfigError
@@ -230,10 +232,26 @@ class TestTrainCommand:
                      "--out", str(root / "m_again")]) == 0
         assert {p: p.stat().st_mtime_ns for p in feats} == stamps
 
-    def test_warm_cache_decodes_nothing(self, synth_dataset, monkeypatch):
+    def test_warm_cache_decodes_nothing(self, synth_dataset, cache_env, monkeypatch):
         root, out, cfg = synth_dataset
-        args = ["train", "--config", str(cfg), "--manifest", str(out / "manifest.json")]
-        assert main(args + ["--out", str(root / "cold")]) == 0
+        manifest = str(out / "manifest.json")
+
+        def commands(run: Path) -> list[list[str]]:
+            return [
+                ["train", "--config", str(cfg), "--manifest", manifest,
+                 "--out", str(run / "models")],
+                ["segment", "--config", str(cfg), "--models", str(run / "models"),
+                 "--video", str(out / "fold_0" / "test" / "seq_0"),
+                 "--out", str(run / "seg.csv"), "--scores-out", str(run / "scores.json")],
+                ["eval", "--config", str(cfg), "--manifest", manifest,
+                 "--out", str(run / "report.json"), "--dump-segments", str(run / "segments")],
+            ]
+
+        # each cold command starts from an empty cache, so it extracts every
+        # video it reads; the last one (fold eval) reads them all
+        for argv in commands(root / "cold"):
+            shutil.rmtree(cache_env / "cache", ignore_errors=True)
+            assert main(argv) == 0
         decoded = []
 
         def counting_load(path):
@@ -241,9 +259,24 @@ class TestTrainCommand:
             return load_sequence(path)
 
         monkeypatch.setattr("actionseg.cli.load_sequence", counting_load)
-        assert main(args + ["--out", str(root / "warm")]) == 0
+        for argv in commands(root / "warm"):
+            assert main(argv) == 0
         assert decoded == []
         assert tree_digest(root / "cold") == tree_digest(root / "warm")
+
+    def test_old_format_cache_file_is_not_looked_up(self, synth_dataset, cache_env):
+        # a v1 file under the key the previous format used: an empty dump
+        root, out, cfg = synth_dataset
+        extraction = load_config(cfg).extraction_config()
+        cache = cache_env / "cache"
+        cache.mkdir()
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry in manifest["train"]:
+            key_src = f"{cli._video_digest(out / entry['video'])}|{extraction!r}"
+            key = hashlib.sha256(key_src.encode()).hexdigest()
+            (cache / f"{key}.feat").write_bytes(struct.pack("<4sIqq", b"ASFV", 1, 0, 14))
+        assert main(["train", "--config", str(cfg), "--manifest", str(out / "manifest.json"),
+                     "--out", str(root / "m")]) == 0
 
     def test_failed_cache_write_leaves_no_feature_file(self, synth_dataset, cache_env,
                                                        monkeypatch):
@@ -251,7 +284,7 @@ class TestTrainCommand:
         args = ["train", "--config", str(cfg), "--manifest", str(out / "manifest.json"),
                 "--out", str(root / "m")]
 
-        def crash_mid_write(features, path):
+        def crash_mid_write(features, n_frames, path):
             Path(path).write_bytes(b"AS")
             raise RuntimeError("interrupted")
 
@@ -482,6 +515,16 @@ class TestEvalCommand:
                      "--out", str(root / "r.json")])
         assert code == 1
         assert "--models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", [[1], "ab", 5], ids=["number", "string", "not_list"])
+    def test_malformed_fold_is_data_error(self, synth_dataset, capsys, folds):
+        root, out, cfg_path = synth_dataset
+        (out / "bad_folds.json").write_text(json.dumps({"folds": folds}))
+        code = main(["eval", "--config", str(cfg_path),
+                     "--manifest", str(out / "bad_folds.json"),
+                     "--out", str(root / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
 
     def test_missing_manifest_is_data_error(self, synth_dataset):
         root, _, cfg_path = synth_dataset

@@ -14,6 +14,7 @@ from actionseg.evaluation import (
     synth_generate,
     train_model_bank,
 )
+from actionseg.features import extract_video_features
 from actionseg.frame_io import Frame, FrameSequence, LabelTrack
 from actionseg.motion import horn_schunck
 
@@ -319,12 +320,12 @@ class TestRunExperiment:
     def test_scenario_models_trained_per_scenario(self):
         spec = small_spec(noise=1.0)
         insts = synth_generate(spec, 2, seed=14)
-        train = []
-        for i, (s, n) in enumerate(insts):
-            train.append((s, n, f"s{i % 2}"))
         cfg = PipelineConfig(
             n_components=1, window_frames=8, tau=30.0, hs_iters=20, per_scenario=True
         )
+        train = []
+        for i, (s, n) in enumerate(insts):
+            train.append((extract_video_features(s, cfg.extraction_config()), n, f"s{i % 2}"))
         bank = train_model_bank(train, cfg, spec.action_names)
         assert len(bank.models) == 4
         assert {(m.action, m.scenario) for m in bank.models} == {

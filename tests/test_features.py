@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+import struct
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -358,6 +359,14 @@ class TestUsableCpus:
         assert [ff.vectors.tobytes() for ff in out] == [ff.vectors.tobytes() for ff in ref]
 
 
+def feature_file(table, n_rows, n_frames=10):
+    """Bytes of a feature file with the given (frame_index, k) table
+    followed by ``n_rows`` zero vectors."""
+    table = np.asarray(table, dtype="<i8").reshape(-1, 2)
+    header = struct.pack("<4sIqqq", b"ASFV", 2, n_frames, len(table), FEATURE_DIM)
+    return header + table.tobytes() + bytes(8 * FEATURE_DIM * n_rows)
+
+
 class TestFeatureDump:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -367,19 +376,51 @@ class TestFeatureDump:
             FrameFeatures(6, rng.normal(size=(3, FEATURE_DIM))),
         ]
         path = tmp_path / "v.feat"
-        save_features(feats, path)
-        back = load_features(path)
+        save_features(feats, 9, path)
+        back, n_frames = load_features(path)
+        assert n_frames == 9
         assert [ff.frame_index for ff in back] == [2, 4, 6]
+        assert [len(ff) for ff in back] == [5, 0, 3]
         for a, b in zip(feats, back):
             np.testing.assert_array_equal(a.vectors, b.vectors)
+            assert not b.vectors.flags.writeable
+
+    def test_no_retained_frames_roundtrip(self, tmp_path):
+        path = tmp_path / "v.feat"
+        save_features([], 2, path)
+        assert load_features(path) == ([], 2)
 
     def test_truncated(self, tmp_path):
         feats = [FrameFeatures(2, np.ones((4, FEATURE_DIM)))]
         path = tmp_path / "v.feat"
-        save_features(feats, path)
+        save_features(feats, 3, path)
         (tmp_path / "bad.feat").write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataError, match="truncated"):
             load_features(tmp_path / "bad.feat")
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            # a v1 file: (n, dim) header, then (frame_index, k) and vectors per frame
+            (struct.pack("<4sIqqqq", b"ASFV", 1, 1, FEATURE_DIM, 2, 1) + bytes(8 * FEATURE_DIM),
+             "version 1"),
+            (feature_file([(2, 1)], 1) + b"\0", "trailing"),
+            (feature_file([(2, 1), (4, -1)], 0), "negative vector count"),
+            (feature_file([(2, 1)], 1)[:40], "truncated"),
+            (feature_file([(4, 0), (4, 0)], 0), "frame indices"),
+            (feature_file([(4, 0), (2, 0)], 0), "frame indices"),
+            (feature_file([(2, 0), (10, 0)], 0), "frame indices"),
+            (feature_file([(-1, 0)], 0), "frame indices"),
+            (feature_file([], 0, n_frames=-1), "negative frame count"),
+        ],
+        ids=["v1", "trailing_bytes", "negative_k", "cut_table", "repeated_index",
+             "decreasing_index", "index_past_end", "negative_index", "negative_n_frames"],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, data, match):
+        path = tmp_path / "bad.feat"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=match):
+            load_features(path)
 
     def test_wrong_magic(self, tmp_path):
         (tmp_path / "bad.feat").write_bytes(b"NOPE" + bytes(20))
