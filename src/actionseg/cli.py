@@ -106,6 +106,8 @@ def _resolve(base: Path, rel: str) -> Path:
 
 
 def _train_entries(entries: list, base: Path, cfg: PipelineConfig) -> list:
+    if not isinstance(entries, list):
+        raise DataError("manifest 'train' must be a list of entries")
     out = []
     for e in entries:
         try:
@@ -119,6 +121,8 @@ def _train_entries(entries: list, base: Path, cfg: PipelineConfig) -> list:
 
 
 def _test_entries(entries: list, base: Path, cfg: PipelineConfig, action_names=None):
+    if not isinstance(entries, list):
+        raise DataError("manifest 'test' must be a list of entries")
     out = []
     for e in entries:
         try:

@@ -105,13 +105,16 @@ def _nearest_center(data: np.ndarray, centers: np.ndarray, block: int = 8192):
     c2 = np.einsum("ij,ij->i", centers, centers)
     for start in range(0, n, block):
         chunk = data[start : start + block]
-        # ||x - c||^2 up to the common ||x||^2 term, enough for argmin
-        cross = chunk @ centers.T
-        dist = c2[None, :] - 2.0 * cross
+        # ||x - c||^2 up to the common ||x||^2 term, enough for argmin, built
+        # in the product's buffer: c2 + (-2 cross) is c2 - 2 cross exactly
+        dist = chunk @ centers.T
+        dist *= -2.0
+        dist += c2
         labels_chunk = np.argmin(dist, axis=1)
         labels[start : start + block] = labels_chunk
-        diff = chunk - centers[labels_chunk]
-        d2[start : start + block] = np.einsum("ij,ij->i", diff, diff)
+        diff = centers[labels_chunk]
+        np.subtract(chunk, diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=d2[start : start + block])
     return labels, d2
 
 
@@ -153,7 +156,9 @@ def kmeans_init(
     rng = np.random.default_rng(seed)
     centers = np.empty((n_components, dim))
     centers[0] = data[rng.integers(n)]
-    d2 = np.einsum("ij,ij->i", data - centers[0], data - centers[0])
+    diff = data - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    near = np.empty(n)
     for g in range(1, n_components):
         total = d2.sum()
         if total > 0:
@@ -161,8 +166,9 @@ def kmeans_init(
         else:
             idx = rng.integers(n)
         centers[g] = data[idx]
-        diff = data - centers[g]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        np.subtract(data, centers[g], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=near)
+        np.minimum(d2, near, out=d2)
 
     labels, d2 = _nearest_center(data, centers)
     for _ in range(kmeans_iters):
@@ -317,6 +323,7 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
     n_reseeds = 0
     converged = False
     prev_ll = None
+    sq = data * data
     for iteration in range(cfg.max_iters):
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)
@@ -332,7 +339,15 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
             break
         prev_ll = mean_ll
 
-        resp = np.exp(log_joint - per_point[:, None])
+        # exp(log_joint - per_point) in place. Entries whose exp is exactly
+        # 0.0 go through exp as zeros and are zeroed again after it, which
+        # skips exp's slow underflow path; NaN (a row of -inf) stays NaN.
+        resp = log_joint
+        resp -= per_point[:, None]
+        zero = resp < _EXP_ZERO_BELOW
+        np.copyto(resp, 0.0, where=zero)
+        np.exp(resp, out=resp)
+        np.copyto(resp, 0.0, where=zero)
         nk = resp.sum(axis=0)
         starved = np.flatnonzero(nk < _STARVATION_FRACTION * n)
         healthy = np.setdiff1d(np.arange(cfg.n_components), starved)
@@ -341,13 +356,15 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
 
         safe_nk = np.where(nk > 0, nk, 1.0)
         new_means = (resp.T @ data) / safe_nk[:, None]
-        ex2 = (resp.T @ (data * data)) / safe_nk[:, None]
+        ex2 = (resp.T @ sq) / safe_nk[:, None]
         new_vars = np.maximum(ex2 - new_means * new_means, cfg.var_floor)
         new_weights = nk / n
 
+        if starved.size:
+            hard_labels = np.argmax(resp, axis=1)
         for g in starved:
             parent = healthy[int(np.argmax(new_vars[healthy].sum(axis=1)))]
-            hard = np.flatnonzero(np.argmax(resp, axis=1) == parent)
+            hard = np.flatnonzero(hard_labels == parent)
             if hard.size == 0:
                 hard = np.arange(n)
             scaled = ((data[hard] - new_means[parent]) ** 2 / new_vars[parent]).sum(axis=1)
@@ -360,6 +377,8 @@ def em_fit(data: np.ndarray, cfg: FitConfig, callback=None) -> GmmModel:
         new_weights = new_weights / new_weights.sum()
 
         weights, means, variances = new_weights, new_means, new_vars
+        # free the n×G responsibilities before the next E-step allocates
+        del log_joint, resp, zero
 
     meta = {
         "fit_config": asdict(cfg),

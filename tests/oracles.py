@@ -6,6 +6,7 @@ arithmetic) and shares no code path with the package.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -320,6 +321,68 @@ def reference_kmeans_init(data, n_components, seed=0, kmeans_iters=20, var_floor
         weights[g] = pts.shape[0] / n
     weights /= weights.sum()
     return means, variances, weights
+
+
+def reference_em_fit(data, cfg, kmeans=reference_kmeans_init):
+    """(weights, means, variances, meta) of batch EM from ``kmeans``' start.
+
+    Every n×G step is a fresh array: ``resp`` is a plain ``np.exp`` of the
+    shifted joint, ``data * data`` is formed in each M-step and the hard
+    labels are recomputed for every starved component.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    means, variances, weights = kmeans(
+        data, cfg.n_components, cfg.seed, cfg.kmeans_iters, cfg.var_floor
+    )
+    history = []
+    n_reseeds = 0
+    converged = False
+    prev_ll = None
+    for _ in range(cfg.max_iters):
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)
+        log_joint = reference_component_log_densities(means, variances, data) + log_w
+        per_point = logsumexp(log_joint, axis=1)
+        mean_ll = float(np.mean(per_point))
+        history.append(mean_ll)
+        if prev_ll is not None and mean_ll - prev_ll < cfg.rel_tol * abs(prev_ll):
+            converged = True
+            break
+        prev_ll = mean_ll
+
+        resp = np.exp(log_joint - per_point[:, None])
+        nk = resp.sum(axis=0)
+        starved = np.flatnonzero(nk < 1e-8 * n)
+        healthy = np.setdiff1d(np.arange(cfg.n_components), starved)
+        safe_nk = np.where(nk > 0, nk, 1.0)
+        new_means = (resp.T @ data) / safe_nk[:, None]
+        ex2 = (resp.T @ (data * data)) / safe_nk[:, None]
+        new_vars = np.maximum(ex2 - new_means * new_means, cfg.var_floor)
+        new_weights = nk / n
+        for g in starved:
+            parent = healthy[int(np.argmax(new_vars[healthy].sum(axis=1)))]
+            hard = np.flatnonzero(np.argmax(resp, axis=1) == parent)
+            if hard.size == 0:
+                hard = np.arange(n)
+            scaled = ((data[hard] - new_means[parent]) ** 2 / new_vars[parent]).sum(axis=1)
+            pick = hard[int(np.argmax(scaled))]
+            new_means[g] = data[pick]
+            new_vars[g] = new_vars[parent]
+            new_weights[parent] *= 0.5
+            new_weights[g] = new_weights[parent]
+            n_reseeds += 1
+        weights, means, variances = new_weights / new_weights.sum(), new_means, new_vars
+
+    meta = {
+        "fit_config": dataclasses.asdict(cfg),
+        "data_count": n,
+        "ll_history": history,
+        "n_iters": len(history),
+        "converged": converged,
+        "n_reseeds": n_reseeds,
+    }
+    return weights, means, variances, meta
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,15 @@ class TestTrainCommand:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train", [5, None], ids=["number", "null"])
+    def test_train_not_a_list_is_data_error(self, synth_dataset, capsys, train):
+        root, out, cfg_path = synth_dataset
+        (out / "bad_train.json").write_text(json.dumps({"train": train}))
+        code = main(["train", "--config", str(cfg_path),
+                     "--manifest", str(out / "bad_train.json"), "--out", str(root / "m")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_wrong_typed_config_value_is_usage_error(self, synth_dataset, capsys):
         root, out, _ = synth_dataset
         bad = root / "bad.toml"
@@ -516,12 +525,28 @@ class TestEvalCommand:
         assert code == 1
         assert "--models" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("folds", [[1], "ab", 5], ids=["number", "string", "not_list"])
+    @pytest.mark.parametrize(
+        "folds",
+        [[1], "ab", 5, [{"train": 5}], [{"train": None}], [{"train": [], "test": 5}]],
+        ids=["number", "string", "not_list", "train_number", "train_null", "test_number"],
+    )
     def test_malformed_fold_is_data_error(self, synth_dataset, capsys, folds):
         root, out, cfg_path = synth_dataset
         (out / "bad_folds.json").write_text(json.dumps({"folds": folds}))
         code = main(["eval", "--config", str(cfg_path),
                      "--manifest", str(out / "bad_folds.json"),
+                     "--out", str(root / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_test_not_a_list_is_data_error(self, synth_dataset, capsys):
+        root, out, cfg_path = synth_dataset
+        models = root / "models"
+        assert main(["train", "--config", str(cfg_path),
+                     "--manifest", str(out / "manifest.json"), "--out", str(models)]) == 0
+        (out / "bad_test.json").write_text(json.dumps({"test": 5}))
+        code = main(["eval", "--config", str(cfg_path), "--models", str(models),
+                     "--manifest", str(out / "bad_test.json"),
                      "--out", str(root / "r.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")

@@ -1,5 +1,5 @@
-import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +19,12 @@ from actionseg.gmm import (
 )
 
 from oracles import (
+    _reference_nearest_center,
     batch_mean_ll,
     mp_log_pdf,
     plain_log_pdf,
     reference_component_log_densities,
+    reference_em_fit,
     reference_kmeans_init,
     reference_log_pdf_batch,
 )
@@ -107,6 +109,21 @@ class TestMatchesMaskedReference:
             want = reference_kmeans_init(data, 3, seed=seed)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
+    def test_nearest_center_blocks_and_ties(self):
+        # 60 rows in blocks of 7 (a short last block); integer coordinates and
+        # repeated centres give argmin exact ties
+        rng = np.random.default_rng(12)
+        centers = rng.integers(-3, 4, (9, 3)).astype(np.float64)
+        centers[[4, 7]] = centers[1]
+        data = np.vstack([
+            centers[rng.integers(9, size=20)],
+            rng.integers(-4, 5, (20, 3)).astype(np.float64),
+            rng.normal(size=(20, 3)),
+        ])
+        got = gmm._nearest_center(data, centers, block=7)
+        want = _reference_nearest_center(data, centers, block=7)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
 
 def adversarial_rows(rng, model, n):
     """Rows cycling through four kinds: at component 0 (a tie, when component
@@ -137,9 +154,23 @@ def adversarial_model(rng, g, dim=14):
     return GmmModel(w / w.sum(), means, variances)
 
 
+def clustered(rng, n, dim, g, spread, noise=1.0):
+    centers = rng.normal(0.0, spread, (g, dim))
+    return centers[rng.integers(g, size=n)] + rng.normal(0.0, noise, (n, dim))
+
+
+def assert_matches_reference_em(model, want):
+    weights, means, variances, meta = want
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.means.tobytes() == means.tobytes()
+    assert model.variances.tobytes() == variances.tobytes()
+    assert model.meta == meta
+
+
 class TestMatchesScipyReference:
-    """log_pdf_batch and em_fit equal the per-column densities plus
-    scipy.special.logsumexp byte for byte."""
+    """log_pdf_batch equals the per-column densities plus
+    scipy.special.logsumexp byte for byte, and em_fit equals the
+    straight-line EM loop built on them."""
 
     @pytest.mark.parametrize("n", [1, 3, 1900])
     @pytest.mark.parametrize("g", [1, 4, 256, 1024])
@@ -183,19 +214,71 @@ class TestMatchesScipyReference:
     @pytest.mark.parametrize(
         "n, dim, g", [(2049, 14, 8), (300, 1, 4), (4101, 2, 16)]
     )
-    def test_em_fit(self, monkeypatch, n, dim, g):
+    def test_em_fit(self, n, dim, g):
         rng = np.random.default_rng(n + dim)
         centers = rng.normal(0.0, 6.0, (g, dim))
         data = centers[rng.integers(g, size=n)] + rng.normal(size=(n, dim))
         cfg = FitConfig(g, max_iters=8, seed=1)
-        got = em_fit(data, cfg)
-        monkeypatch.setattr(gmm, "_component_log_densities", reference_component_log_densities)
-        monkeypatch.setattr(gmm, "_logsumexp_rows", functools.partial(logsumexp, axis=1))
-        monkeypatch.setattr(gmm, "kmeans_init", reference_kmeans_init)
-        want = em_fit(data, cfg)
-        for name in ("weights", "means", "variances"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.meta == want.meta
+        assert_matches_reference_em(em_fit(data, cfg), reference_em_fit(data, cfg))
+
+
+class TestEmMatchesStraightLineReference:
+    """em_fit's in-place E- and M-steps equal the straight-line loop of
+    oracles.reference_em_fit byte for byte."""
+
+    def test_kth_shape(self):
+        data = clustered(np.random.default_rng(13), 5700, 14, 256, 40.0, 5.0)
+        cfg = FitConfig(256, max_iters=3, seed=2)
+        assert_matches_reference_em(em_fit(data, cfg), reference_em_fit(data, cfg))
+
+    def test_starved_start_is_reseeded(self, monkeypatch):
+        def starved_start(*args):
+            means, variances, weights = reference_kmeans_init(*args)
+            means[0], means[1] = 1e6, -1e6
+            return means, variances, weights
+
+        data = clustered(np.random.default_rng(14), 2000, 14, 16, 6.0)
+        cfg = FitConfig(16, max_iters=6, seed=3)
+        monkeypatch.setattr(gmm, "kmeans_init", starved_start)
+        model = em_fit(data, cfg)
+        assert model.meta["n_reseeds"] > 0
+        assert_matches_reference_em(model, reference_em_fit(data, cfg, kmeans=starved_start))
+
+    def test_mostly_underflowing_responsibilities(self):
+        data = clustered(np.random.default_rng(15), 3000, 14, 16, 100.0)
+        cfg = FitConfig(16, max_iters=4, seed=4)
+        # most shifted log joints at the k-means start lie where exp is 0.0
+        means, variances, weights = reference_kmeans_init(data, 16, cfg.seed)
+        log_joint = reference_component_log_densities(means, variances, data) + np.log(weights)
+        shifted = log_joint - logsumexp(log_joint, axis=1)[:, None]
+        assert np.mean(shifted < gmm._EXP_ZERO_BELOW) > 0.5
+        assert_matches_reference_em(em_fit(data, cfg), reference_em_fit(data, cfg))
+
+
+class TestTrainingMemory:
+    """Traced peak NumPy memory at the kth shape, in units of one n×G float64
+    array: no step of the k-means start or of EM may build several of them."""
+
+    N, DIM, G = 5700, 14, 256
+
+    def traced_peak(self, fn) -> float:
+        fn()  # lazy set-up out of the way
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (self.N * self.G * 8)
+
+    def test_kmeans_init_peak(self):
+        data = clustered(np.random.default_rng(16), self.N, self.DIM, self.G, 40.0, 5.0)
+        assert self.traced_peak(lambda: kmeans_init(data, self.G, 0, kmeans_iters=2)) < 1.5
+
+    def test_em_fit_peak(self):
+        data = clustered(np.random.default_rng(16), self.N, self.DIM, self.G, 40.0, 5.0)
+        cfg = FitConfig(self.G, max_iters=3, kmeans_iters=2)
+        assert self.traced_peak(lambda: em_fit(data, cfg)) < 2.75
 
 
 class TestEmFit:
